@@ -39,15 +39,7 @@ from .diagnostics import (
     vif,
 )
 from .fixtures import FIXTURE_NAMES, fixture
-from .linalg import (
-    SingularMatrixError,
-    determinant,
-    least_squares,
-    least_squares_normal,
-    spd_inverse,
-    sym_eigenvalues,
-    unit_length_scale,
-)
+from .linalg import SingularMatrixError, least_squares, unit_length_scale
 from .ols import (
     ContradictionVerdict,
     OLSFit,
@@ -95,11 +87,7 @@ __all__ = [
     "FIXTURE_NAMES",
     "fixture",
     "SingularMatrixError",
-    "determinant",
     "least_squares",
-    "least_squares_normal",
-    "spd_inverse",
-    "sym_eigenvalues",
     "unit_length_scale",
     "ContradictionVerdict",
     "OLSFit",

@@ -8,8 +8,9 @@ package are 0-based.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,17 @@ class DesignMatrix:
         """Column indices excluding the intercept, in matrix order."""
         start = 1 if self.intercept_present else 0
         return tuple(range(start, self.k))
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """R of the QR factorization X = QR, computed once per design.
+
+        X[:, cols] = Q R[:, cols] with Q orthonormal, so every column
+        block of R has the singular values, column norms and cross
+        products of the same block of X.  Caching is safe because X is
+        a read-only copy.
+        """
+        return np.linalg.qr(self.X, mode="r")
 
 
 def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -> Dataset:

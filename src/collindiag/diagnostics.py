@@ -154,21 +154,37 @@ class DiagnosticsReport:
     notes: dict[str, str]
 
 
-def _quantitative_block(X: DesignMatrix) -> tuple[tuple[str, ...], np.ndarray]:
-    labels = X.quantitative_labels
-    return labels, X.X[:, list(X.quantitative_idx)]
+def _centered_factor(X: DesignMatrix) -> np.ndarray:
+    """Triangular T with T'T = C'C, C the centered quantitative block.
+
+    With an intercept, T is the trailing block of a small QR of the
+    intercept-plus-quantitative columns of X.factors: the leading column
+    of that QR spans the ones vector, so the rest spans the centered
+    columns.  Without an intercept the block is centered explicitly.
+    A zero-variance column has no correlation with anything and is
+    rejected by name.
+    """
+    quant = list(X.quantitative_idx)
+    for i in quant:
+        if np.ptp(X.X[:, i]) == 0.0:
+            raise ValueError(f"quantitative column {X.labels[i]!r} has zero variance")
+    if X.intercept_present:
+        return np.linalg.qr(X.factors[:, [0] + quant], mode="r")[1:, 1:]
+    Q = X.X[:, quant]
+    return np.linalg.qr(Q - Q.mean(axis=0), mode="r")
 
 
-def _pearson(Q: np.ndarray, labels) -> np.ndarray:
-    centered = Q - Q.mean(axis=0)
-    norms = np.sqrt((centered * centered).sum(axis=0))
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"quantitative column {labels[zero[0]]!r} has zero variance")
-    U = centered / norms
+def _pearson(T: np.ndarray) -> tuple[np.ndarray, float]:
+    """Correlation matrix and its determinant from the centered factor.
+
+    det(R) is taken from the small k x k matrix R itself, so it is near 0
+    also when n <= k leaves T wide, not square.
+    """
+    U = T / np.sqrt((T * T).sum(axis=0))
     R = U.T @ U
     np.fill_diagonal(R, 1.0)
-    return (R + R.T) / 2.0
+    R = (R + R.T) / 2.0
+    return R, float(np.linalg.det(R))
 
 
 def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> CorrelationReport:
@@ -178,11 +194,10 @@ def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHO
     thresholds.pairwise_corr are flagged; det(R) below the affine cutoff
     evaluated at (n, number of quantitative regressors) is flagged too.
     """
-    labels, Q = _quantitative_block(X)
+    labels = X.quantitative_labels
     if len(labels) < 2:
         raise ValueError(NEED_TWO_QUANTITATIVE)
-    R = _pearson(Q, labels)
-    det_r = linalg.determinant(R)
+    R, det_r = _pearson(_centered_factor(X))
     det_threshold = thresholds.det_r_threshold(X.n, len(labels))
     flagged = tuple(
         (labels[i], labels[j], float(R[i, j]))
@@ -201,52 +216,45 @@ def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHO
     )
 
 
-def _worst_pair(labels, R) -> tuple[str, str, float]:
-    best = (0, 1)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if abs(R[i, j]) > abs(R[best[0], best[1]]):
-                best = (i, j)
-    i, j = best
-    return labels[i], labels[j], float(R[i, j])
-
-
 def vif(X: DesignMatrix) -> tuple[tuple[str, float], ...]:
     """Variance inflation factors: diagonal of the inverted correlation
-    matrix of the quantitative regressors."""
-    labels, Q = _quantitative_block(X)
+    matrix of the quantitative regressors, from the SVD of the
+    unit-scaled centered block."""
+    labels = X.quantitative_labels
     if len(labels) < 2:
         raise ValueError(NEED_TWO_QUANTITATIVE)
-    R = _pearson(Q, labels)
+    T = _centered_factor(X)
     try:
-        R_inv = linalg.spd_inverse(R)
+        if X.intercept_present:
+            # T comes from [1, Q] by orthogonal steps, so it is only as
+            # accurate as that block is well conditioned
+            linalg.scaled_svd(X.factors[:, [0, *X.quantitative_idx]], X.n)
+        values = linalg.scaled_inverse_diag(T, X.n)
     except linalg.SingularMatrixError:
-        a, b, r = _worst_pair(labels, R)
+        R, _ = _pearson(T)
+        i, j = np.triu_indices(len(labels), 1)
+        w = int(np.argmax(np.abs(R[i, j])))
         raise linalg.SingularMatrixError(
             f"correlation matrix is numerically singular; "
-            f"worst pair {a!r}, {b!r} with r = {r:.7g}"
+            f"worst pair {labels[i[w]]!r}, {labels[j[w]]!r} with r = {R[i[w], j[w]]:.7g}"
         ) from None
-    return tuple((label, float(R_inv[i, i])) for i, label in enumerate(labels))
+    return tuple(zip(labels, values.tolist()))
 
 
 def condition_number(X: DesignMatrix, include_intercept: bool = True) -> float:
-    """Condition number sqrt(lambda_max / lambda_min) of X'X after
-    scaling every column of X to unit length.
+    """Condition number s_max / s_min of X after scaling every column to
+    unit length, from the singular values of the same block of X.factors.
 
     Dummy columns are included.  include_intercept=False drops the
     intercept column before scaling.
     """
-    M = X.X
+    R = X.factors
     if not include_intercept and X.intercept_present:
-        M = M[:, 1:]
-    if M.shape[1] == 0:
+        R = R[:, 1:]
+    if R.shape[1] == 0:
         raise ValueError("no columns left for the condition number")
-    scaled = linalg.unit_length_scale(M)
-    eig = linalg.sym_eigenvalues(scaled.T @ scaled)
-    lam_max, lam_min = float(eig[0]), float(eig[-1])
-    if lam_min <= 1e-12 * lam_max:
-        raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
-    return float(np.sqrt(lam_max / lam_min))
+    s, _ = linalg.scaled_svd(R, X.n)
+    return float(s[0] / s[-1])
 
 
 def cns(X: DesignMatrix) -> CnReport:
@@ -274,23 +282,20 @@ def cn_severity(cn: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
 
 def stewart_index(X: DesignMatrix) -> StewartReport:
     """Stewart indexes k_i^2 = ||x_i||^2 [(X'X)^-1]_ii over the
-    intercept-plus-quantitative submatrix.
+    intercept-plus-quantitative submatrix, from the SVD of its
+    unit-scaled block of X.factors.
 
     Dummies are excluded throughout.  With at least two quantitative
     regressors the essential percentage 100 * VIF(i) / k_i^2 and its
     complement are reported per quantitative regressor.
     """
-    q_labels, Q = _quantitative_block(X)
+    q_labels = X.quantitative_labels
     if len(q_labels) < 1:
         raise ValueError(NEED_ONE_QUANTITATIVE)
+    cols, labels = list(X.quantitative_idx), q_labels
     if X.intercept_present:
-        sub = np.column_stack([np.ones(X.n), Q])
-        labels = ("intercept",) + q_labels
-    else:
-        sub = Q
-        labels = q_labels
-    gram_inv = linalg.spd_inverse(sub.T @ sub)
-    k2 = (sub * sub).sum(axis=0) * gram_inv.diagonal()
+        cols, labels = [0] + cols, ("intercept",) + labels
+    k2 = linalg.scaled_inverse_diag(X.factors[:, cols], X.n)
 
     essential = nonessential = None
     if len(q_labels) >= 2:
@@ -339,8 +344,7 @@ def slm(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SlmRepo
     if X.dummy_idx:
         return SlmReport(label=label, is_dummy=True, cn=cn,
                          ones_pct=proportion_of_ones(X.X[:, 1]))
-    gram_inv = linalg.spd_inverse(X.X.T @ X.X)
-    k2 = (X.X * X.X).sum(axis=0) * gram_inv.diagonal()
+    k2 = stewart_index(X).k2
     return SlmReport(
         label=label,
         is_dummy=False,

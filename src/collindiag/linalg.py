@@ -1,8 +1,14 @@
-"""Dense linear algebra kernel: column scaling, symmetric eigenvalues,
-SPD inversion, determinants and least squares.
+"""Dense linear algebra on numpy's LAPACK: unit-length column scaling,
+the singular cut, SVDs of scaled column blocks and least squares.
 
-Everything works on plain float64 ndarrays and is sized for the small
-(k <= ~30 columns) matrices regression diagnostics produce.
+The singular cut is one rule, applied in _check_rank only: a block of k
+columns from an n-row design is numerically singular iff, with every
+column scaled to unit length, its singular values satisfy
+s_min <= max(n, k) * eps * s_max (numpy's matrix_rank tolerance).  It
+separates exact multicollinearity (SingularMatrixError) from near
+multicollinearity (diagnostics proceed).  A column block of X may be
+passed as the same block of R from X = QR: both have the same singular
+values and column norms.
 """
 
 import numpy as np
@@ -10,19 +16,12 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "unit_length_scale",
-    "sym_eigenvalues",
-    "spd_inverse",
-    "determinant",
+    "scaled_svd",
+    "scaled_inverse_diag",
     "least_squares",
-    "least_squares_normal",
 ]
 
-# Relative pivot size below which a factorization is treated as singular.
-# Separates exact multicollinearity (hard error) from near multicollinearity
-# (diagnostics proceed).
-PIVOT_RTOL = 1e-12
-
-SINGULAR_MESSAGE = "exact or near-exact multicollinearity: X'X numerically singular"
+SINGULAR_MESSAGE = "exact or near-exact multicollinearity: design numerically rank deficient"
 
 
 class SingularMatrixError(ValueError):
@@ -38,136 +37,54 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
-def unit_length_scale(M) -> np.ndarray:
-    """Scale every column of M to unit Euclidean length.
-
-    Raises ValueError naming the offending column if any column is zero.
-    """
-    A = _as_matrix(M)
+def _column_norms(A: np.ndarray) -> np.ndarray:
     norms = np.sqrt((A * A).sum(axis=0))
-    zero = np.nonzero(norms == 0.0)[0]
+    zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"column {zero[0]} has zero norm and cannot be scaled to unit length")
-    return A / norms
+        raise SingularMatrixError(
+            f"column {zero[0]} has zero norm and cannot be scaled to unit length")
+    return norms
 
 
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix is not square: shape {A.shape}")
-    scale = np.abs(A).max() if A.size else 0.0
-    if scale and np.abs(A - A.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return (A + A.T) / 2.0
+def _check_rank(s: np.ndarray, n: int, k: int) -> None:
+    """The singular cut on the descending singular values s of a unit-scaled
+    block of k columns from an n-row design."""
+    if s.size < k or s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
+        raise SingularMatrixError(SINGULAR_MESSAGE)
 
 
-def sym_eigenvalues(S) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, in descending order.
+def unit_length_scale(M) -> np.ndarray:
+    """Scale every column of M to unit Euclidean length; a zero column
+    raises an error naming it."""
+    A = _as_matrix(M)
+    return A / _column_norms(A)
 
-    Uses cyclic Jacobi rotations until the off-diagonal Frobenius norm
-    drops below 1e-12 times the Frobenius norm of the input.  Simple and
-    very accurate for the small matrices this package deals with, in
-    particular for the smallest eigenvalue that condition numbers need.
+
+def scaled_svd(A, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s (descending) and right singular vectors Vt of A
+    with unit-length columns, A being a column block of an n-row design
+    or of its R factor.  Raises SingularMatrixError past the cut."""
+    B = unit_length_scale(A)
+    _, s, vt = np.linalg.svd(B, full_matrices=False)
+    _check_rank(s, n, B.shape[1])
+    return s, vt
+
+
+def scaled_inverse_diag(A, n: int) -> np.ndarray:
+    """Diagonal of (B'B)^-1, where B is A with unit-length columns.
+
+    For an intercept-plus-regressors block these are Stewart's k_i^2; for
+    a centered block they are the VIFs.
     """
-    A = _check_symmetric(_as_matrix(S))
-    k = A.shape[0]
-    if k == 1:
-        return A.diagonal().copy()
-
-    norm_s = np.sqrt((A * A).sum())
-    if norm_s == 0.0:
-        return np.zeros(k)
-    target = 1e-12 * norm_s
-
-    for _ in range(100):  # sweeps; convergence is quadratic, ~10 suffice
-        off = A - np.diag(A.diagonal())
-        if np.sqrt((off * off).sum()) < target:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                # smaller root of t^2 + 2 t theta - 1 = 0, stable form
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi eigenvalue iteration failed to converge")
-
-    eig = np.sort(A.diagonal())[::-1]
-    return np.ascontiguousarray(eig)
-
-
-def _cholesky_lower(S: np.ndarray) -> np.ndarray:
-    """Cholesky factor L with S = L L^T, or SingularMatrixError.
-
-    A pivot not exceeding PIVOT_RTOL times the largest diagonal entry
-    means the matrix is numerically rank deficient.
-    """
-    A = _check_symmetric(S)
-    k = A.shape[0]
-    floor = PIVOT_RTOL * max(A.diagonal().max(), 0.0)
-    L = np.zeros_like(A)
-    for j in range(k):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= floor:
-            raise SingularMatrixError(SINGULAR_MESSAGE)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < k:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _forward_sub(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    W = np.zeros_like(B)
-    for i in range(L.shape[0]):
-        W[i] = (B[i] - L[i, :i] @ W[:i]) / L[i, i]
-    return W
-
-
-def _back_sub(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    Z = np.zeros_like(B)
-    for i in range(U.shape[0] - 1, -1, -1):
-        Z[i] = (B[i] - U[i, i + 1 :] @ Z[i + 1 :]) / U[i, i]
-    return Z
-
-
-def spd_inverse(S) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
-
-    Raises SingularMatrixError when a Cholesky pivot falls at or below
-    1e-12 times the largest diagonal entry.
-    """
-    A = _as_matrix(S)
-    L = _cholesky_lower(A)
-    eye = np.eye(A.shape[0])
-    inv = _back_sub(L.T, _forward_sub(L, eye))
-    return (inv + inv.T) / 2.0
-
-
-def determinant(S) -> float:
-    """Determinant of a square matrix (LU product of pivots)."""
-    A = _as_matrix(S)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix is not square: shape {A.shape}")
-    return float(np.linalg.det(A))
+    s, vt = scaled_svd(A, n)
+    return ((vt / s[:, None]) ** 2).sum(axis=0)
 
 
 def least_squares(X, y) -> np.ndarray:
     """Least squares coefficients minimizing ||y - X b||.
 
-    Householder QR for numerical stability; a rank-deficient X raises
-    SingularMatrixError.  See least_squares_normal for the
-    normal-equations route used as a cross-check.
+    Solved by LAPACK's SVD-based lstsq on the unit-scaled columns of X; a
+    design failing the singular cut raises SingularMatrixError.
     """
     A = _as_matrix(X)
     b = np.asarray(y, dtype=float)
@@ -176,19 +93,7 @@ def least_squares(X, y) -> np.ndarray:
         raise ValueError(f"response length {b.shape} does not match {n} rows")
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
-    Q, R = np.linalg.qr(A, mode="reduced")
-    diag = np.abs(R.diagonal())
-    if diag.min() <= PIVOT_RTOL * diag.max():
-        raise SingularMatrixError(SINGULAR_MESSAGE)
-    return _back_sub(R, Q.T @ b)
-
-
-def least_squares_normal(X, y) -> np.ndarray:
-    """Least squares via the normal equations (X'X)^-1 X'y.
-
-    Less stable than least_squares; kept as an independent route for
-    cross-checking results.
-    """
-    A = _as_matrix(X)
-    b = np.asarray(y, dtype=float)
-    return spd_inverse(A.T @ A) @ (A.T @ b)
+    norms = _column_norms(A)
+    coef, _, _, s = np.linalg.lstsq(A / norms, b, rcond=None)
+    _check_rank(s, n, k)
+    return coef / norms

@@ -166,13 +166,16 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     df_resid = n - k
     sigma2 = rss / df_resid
     sigma = math.sqrt(sigma2)
-    gram_inv = linalg.spd_inverse(X.X.T @ X.X)
-    se = sigma * np.sqrt(gram_inv.diagonal())
+    R = X.factors
+    se = sigma * np.sqrt(linalg.scaled_inverse_diag(R, n)) / np.linalg.norm(R, axis=0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),
                      np.sign(beta) * np.inf)
-    p = np.array([2.0 * (1.0 - t_cdf(abs(ti), df_resid)) for ti in t])
+    # two-sided p = I_x(df/2, 1/2) at x = df / (df + t^2): the upper tail
+    # taken directly, so tiny p-values do not cancel against 1
+    p = np.array([math.nan if math.isnan(ti)
+                  else _betainc(0.5 * df_resid, 0.5, df_resid / (df_resid + ti * ti)) for ti in t])
 
     r2 = 1.0 - rss / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
@@ -180,7 +183,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
         f_stat, f_p = math.inf, 0.0
     else:
         f_stat = ((tss - rss) / (k - 1)) / (rss / df_resid)
-        f_p = 1.0 - f_cdf(f_stat, k - 1, df_resid)
+        f_p = _betainc(0.5 * df_resid, 0.5 * (k - 1), df_resid / (df_resid + (k - 1) * f_stat))
 
     return OLSFit(
         labels=X.labels,

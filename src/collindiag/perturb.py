@@ -128,9 +128,12 @@ def perturb_once(y, X: DesignMatrix, cfg: PerturbConfig,
     Euclidean displacement of the coefficient vector, in percent.
     """
     yv = np.asarray(y, dtype=float)
-    selected = _selected_columns(X, cfg)
-    beta = linalg.least_squares(X.X, yv)
+    return _draw(yv, X, _selected_columns(X, cfg), linalg.least_squares(X.X, yv), cfg, rng)
 
+
+def _draw(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], beta: np.ndarray,
+          cfg: PerturbConfig, rng: np.random.Generator) -> tuple[float, float]:
+    """perturb_once with the selected columns and baseline fit beta given."""
     for attempt in range(_MAX_RETRIES):
         Xp = X.X.copy()
         for idx in selected:
@@ -168,13 +171,17 @@ def _summarize(values: np.ndarray) -> SummaryStats:
 def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     """Run cfg.iterations independent perturbation draws.
 
-    The same seed always reproduces the result bit for bit.
+    The baseline is fit once.  The same seed always reproduces the
+    result bit for bit.
     """
+    yv = np.asarray(y, dtype=float)
+    selected = _selected_columns(X, cfg)
+    beta = linalg.least_squares(X.X, yv)
     rng = np.random.default_rng(cfg.seed)
     achieved = np.empty(cfg.iterations)
     change = np.empty(cfg.iterations)
     for i in range(cfg.iterations):
-        achieved[i], change[i] = perturb_once(y, X, cfg, rng)
+        achieved[i], change[i] = _draw(yv, X, selected, beta, cfg, rng)
     return PerturbResult(
         achieved_pct=achieved,
         change_pct=change,

@@ -99,6 +99,39 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="two quantitative"):
             correlation_matrix(theil_income_design)
 
+    def test_no_more_rows_than_regressors_has_zero_determinant(self):
+        # three centered columns in n = 3 rows span at most two dimensions
+        a, b, c = [-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0], [2.0, -1.0, 5.0]
+        design = DesignMatrix(X=np.column_stack([np.ones(3), a, b, c]), intercept_present=True,
+                              quantitative_idx=(1, 2, 3), dummy_idx=(),
+                              labels=("intercept", "a", "b", "c"))
+        rep = correlation_matrix(design)
+        assert rep.det_r == pytest.approx(0.0, abs=1e-12)
+        assert rep.problematic_det
+
+    def test_zero_variance_column_named(self):
+        for intercept in (True, False):
+            t = np.arange(6.0)
+            cols = [t, np.full(6, 2.0), t * t]
+            if intercept:
+                cols.insert(0, np.ones(6))
+            start = int(intercept)
+            design = DesignMatrix(X=np.column_stack(cols), intercept_present=intercept,
+                                  quantitative_idx=tuple(range(start, start + 3)), dummy_idx=(),
+                                  labels=("intercept",) * start + ("t", "const", "t2"))
+            for measure in (correlation_matrix, vif):
+                with pytest.raises(ValueError, match="'const' has zero variance"):
+                    measure(design)
+
+    def test_constant_regressor_without_intercept_accepted(self):
+        # a constant column is an ordinary regressor when there is no intercept
+        d = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        design = DesignMatrix(X=np.column_stack([np.full(6, 2.0), d]), intercept_present=False,
+                              quantitative_idx=(0,), dummy_idx=(1,), labels=("const", "d"))
+        s = np.linalg.svd(design.X / np.linalg.norm(design.X, axis=0), compute_uv=False)
+        assert condition_number(design) == pytest.approx(s[0] / s[-1], rel=1e-12)
+        assert_allclose(stewart_index(design).k2, [1.0], rtol=1e-12)
+
     def test_diagonal_is_one_and_entries_bounded(self, kg_design):
         rep = correlation_matrix(kg_design)
         assert_allclose(np.diag(rep.r), 1.0, rtol=0, atol=0)

@@ -2,16 +2,45 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from collindiag import linalg
+from collindiag import (
+    DesignMatrix,
+    cns,
+    condition_number,
+    correlation_matrix,
+    stewart_index,
+    vif,
+)
 from collindiag.linalg import (
     SingularMatrixError,
-    determinant,
     least_squares,
-    least_squares_normal,
-    spd_inverse,
-    sym_eigenvalues,
+    scaled_inverse_diag,
+    scaled_svd,
     unit_length_scale,
 )
+
+from conftest import random_design
+
+
+def quantitative_design(M) -> DesignMatrix:
+    """Intercept plus the columns of M, all quantitative."""
+    M = np.asarray(M, dtype=float)
+    k = M.shape[1]
+    return DesignMatrix(X=np.column_stack([np.ones(M.shape[0]), M]), intercept_present=True,
+                        quantitative_idx=tuple(range(1, k + 1)), dummy_idx=(),
+                        labels=("intercept",) + tuple(f"x{j}" for j in range(1, k + 1)))
+
+
+def centered_orthogonal_pair(n: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Two centered, mutually orthogonal columns of different lengths."""
+    t = np.arange(float(n)) - (n - 1) / 2
+    w = np.resize([1.0, -1.0], n)
+    w -= w.mean() + (w @ t) / (t @ t) * t
+    return 4.0 * t, w
+
+
+def numpy_scaled_singular_values(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    return np.linalg.svd(M / np.linalg.norm(M, axis=0), compute_uv=False)
 
 
 class TestUnitLengthScale:
@@ -44,7 +73,7 @@ def _char_poly_roots_by_bisection(S, lo, hi, m=2000):
     the characteristic polynomial on a grid and bisecting sign changes."""
 
     def char(t):
-        return determinant(S - t * np.eye(S.shape[0]))
+        return np.linalg.det(S - t * np.eye(S.shape[0]))
 
     grid = np.linspace(lo, hi, m)
     vals = [char(t) for t in grid]
@@ -66,95 +95,121 @@ def _char_poly_roots_by_bisection(S, lo, hi, m=2000):
 
 
 class TestSymEigenvalues:
+    """Eigenvalues of the scaled Gram matrix B'B, B the unit-scaled
+    design: the squared singular values behind condition_number and
+    cns, taken from the design's R factor."""
+
     def test_identity(self):
-        assert_allclose(sym_eigenvalues(np.eye(3)), [1, 1, 1], rtol=0, atol=0)
+        s, _ = scaled_svd(np.eye(3), 3)
+        assert_allclose(s, [1, 1, 1], rtol=0, atol=1e-15)
 
     def test_diagonal(self):
-        assert_allclose(sym_eigenvalues(np.diag([4.0, 1.0])), [4, 1], atol=1e-14)
+        # orthogonal columns of different lengths: scaling removes the lengths
+        design = quantitative_design(np.column_stack(centered_orthogonal_pair()))
+        assert condition_number(design) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_characteristic_polynomial_roots(self):
         rng = np.random.default_rng(42)
-        A = rng.normal(size=(3, 3))
-        S = (A + A.T) / 2
-        eig = sym_eigenvalues(S)
-        bound = np.abs(S).sum() + 1
-        roots = _char_poly_roots_by_bisection(S, -bound, bound)
+        design = quantitative_design(rng.normal(1.0, 1.0, size=(12, 2)))
+        B = unit_length_scale(design.X)
+        S = B.T @ B
+        roots = _char_poly_roots_by_bisection(S, -1.0, 4.0)
         assert len(roots) == 3
-        assert_allclose(eig, roots, rtol=1e-8, atol=1e-10)
+        s, _ = scaled_svd(design.factors, design.n)
+        assert_allclose(s ** 2, roots, rtol=1e-8, atol=1e-10)
+        assert condition_number(design) == pytest.approx(
+            np.sqrt(roots[0] / roots[-1]), rel=1e-8)
 
     def test_descending_order(self):
         rng = np.random.default_rng(3)
-        A = rng.normal(size=(5, 5))
-        eig = sym_eigenvalues(A + A.T)
-        assert np.all(np.diff(eig) <= 0)
+        s, _ = scaled_svd(rng.normal(size=(9, 5)), 9)
+        assert np.all(np.diff(s) <= 0)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            sym_eigenvalues(np.ones((2, 3)))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
+        # a block wider than tall cannot have full column rank
+        with pytest.raises(SingularMatrixError):
+            scaled_svd(np.arange(1.0, 7.0).reshape(2, 3), 2)
 
     def test_sum_equals_trace_and_product_equals_determinant(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             k = int(rng.integers(2, 7))
-            A = rng.normal(size=(k + 3, k))
-            S = A.T @ A + 0.1 * np.eye(k)  # SPD
-            eig = sym_eigenvalues(S)
-            trace = S.trace()
-            assert abs(eig.sum() - trace) <= 1e-9 * abs(trace)
-            assert_allclose(np.prod(eig), determinant(S), rtol=1e-8)
+            design = random_design(rng, n_quant=k - 1)
+            B = unit_length_scale(design.X)
+            s, _ = scaled_svd(design.factors, design.n)
+            assert_allclose(s, numpy_scaled_singular_values(design.X), rtol=1e-12)
+            # trace of B'B is k, since every column has unit length
+            assert abs((s ** 2).sum() - k) <= 1e-12 * k
+            assert_allclose(np.prod(s ** 2), np.linalg.det(B.T @ B), rtol=1e-8)
 
     def test_cauchy_interlacing_leading_principal_submatrix(self):
+        # dropping the intercept column deletes a row and column of B'B
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            k = int(rng.integers(3, 8))
-            A = rng.normal(size=(k, k))
-            S = (A + A.T) / 2
-            eig = sym_eigenvalues(S)
-            sub = sym_eigenvalues(S[: k - 1, : k - 1])
-            assert eig[0] >= sub[0] - 1e-10
-            assert eig[-1] <= sub[-1] + 1e-10
+        for i in range(20):
+            design = random_design(rng, with_dummy=bool(i % 2))
+            s_with = numpy_scaled_singular_values(design.X)
+            s_without = numpy_scaled_singular_values(design.X[:, 1:])
+            assert s_with[0] >= s_without[0] - 1e-12
+            assert s_with[-1] <= s_without[-1] + 1e-12
+            rep = cns(design)
+            assert rep.cn_with == pytest.approx(s_with[0] / s_with[-1], rel=1e-10)
+            assert rep.cn_without == pytest.approx(s_without[0] / s_without[-1], rel=1e-10)
+            assert rep.cn_with >= rep.cn_without
 
 
 class TestSpdInverse:
+    """Diagonal of the inverse of a scaled Gram matrix, as vif and
+    stewart_index report it, against numpy's inverse."""
+
     def test_diagonal(self):
-        assert_allclose(spd_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-15)
+        assert_allclose(scaled_inverse_diag(np.diag([2.0, 4.0]), 2), [1.0, 1.0], atol=1e-15)
 
     def test_duplicated_column_gram_is_singular(self):
-        x = np.array([1.0, 2.0, 3.0])
-        X = np.column_stack([x, x])
+        x = np.array([1.0, 2.0, 3.0, 5.0])
+        design = quantitative_design(np.column_stack([x, x]))
         with pytest.raises(SingularMatrixError, match="multicollinearity"):
-            spd_inverse(X.T @ X)
+            stewart_index(design)
+        with pytest.raises(SingularMatrixError, match="multicollinearity"):
+            least_squares(design.X, x)
 
     def test_multiply_back_gives_identity(self):
         rng = np.random.default_rng(5)
-        A = rng.normal(size=(6, 3))
-        S = A.T @ A + 0.5 * np.eye(3)
-        prod = S @ spd_inverse(S)
-        assert_allclose(prod, np.eye(3), rtol=0, atol=1e-8)
+        for _ in range(10):
+            design = random_design(rng)
+            X = design.X
+            k2 = (X * X).sum(axis=0) * np.linalg.inv(X.T @ X).diagonal()
+            assert_allclose(stewart_index(design).k2, k2, rtol=1e-9)
+            C = X[:, 1:] - X[:, 1:].mean(axis=0)
+            vifs = (C * C).sum(axis=0) * np.linalg.inv(C.T @ C).diagonal()
+            assert_allclose([v for _, v in vif(design)], vifs, rtol=1e-9)
 
 
 class TestDeterminant:
+    """det(R) of the correlation matrix, correlation_matrix(...).det_r."""
+
     def test_identity(self):
-        assert determinant(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
+        # centered, mutually orthogonal regressors: R is the identity
+        rep = correlation_matrix(quantitative_design(np.column_stack(centered_orthogonal_pair())))
+        assert rep.det_r == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two_correlation_closed_form(self):
         for r in (-0.9, -0.3, 0.0, 0.5, 0.99):
-            R = np.array([[1.0, r], [r, 1.0]])
-            assert determinant(R) == pytest.approx(1 - r * r, rel=1e-12)
+            rep = correlation_matrix(design_with_correlation(r))
+            assert rep.r[0, 1] == pytest.approx(r, abs=1e-14)
+            assert rep.det_r == pytest.approx(1 - r * r, rel=1e-12)
 
     def test_theil_quantitative_correlation_determinant(self, theil_design):
-        from collindiag import correlation_matrix
-
         rep = correlation_matrix(theil_design)
-        assert determinant(rep.r) == pytest.approx(0.9680139, abs=1e-6)
+        assert rep.det_r == pytest.approx(0.9680139, abs=1e-6)
+        Q = theil_design.X[:, list(theil_design.quantitative_idx)]
+        assert rep.det_r == pytest.approx(np.linalg.det(np.corrcoef(Q.T)), rel=1e-12)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            determinant(np.ones((2, 3)))
+
+def design_with_correlation(r: float, n: int = 10) -> DesignMatrix:
+    """Two quantitative regressors whose sample correlation is exactly r."""
+    u, v = centered_orthogonal_pair(n)
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return quantitative_design(np.column_stack([u + 3.0, r * u + np.sqrt(1 - r * r) * v - 2.0]))
 
 
 class TestLeastSquares:
@@ -175,16 +230,14 @@ class TestLeastSquares:
     def test_qr_agrees_with_normal_equations(self, theil_design, theil_y, kg_design, kg_y):
         for X, y in ((theil_design.X, theil_y), (kg_design.X, kg_y)):
             b1 = least_squares(X, y)
-            b2 = least_squares_normal(X, y)
-            assert_allclose(b1, b2, rtol=1e-6)
+            assert_allclose(b1, np.linalg.solve(X.T @ X, X.T @ y), rtol=1e-6)
+            assert_allclose(b1, np.linalg.lstsq(X, y, rcond=None)[0], rtol=1e-10)
 
     def test_rank_deficient_rejected(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([np.ones(4), x, 2 * x])
         with pytest.raises(SingularMatrixError):
             least_squares(X, x)
-        with pytest.raises(SingularMatrixError):
-            least_squares_normal(X, x)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

@@ -131,6 +131,18 @@ class TestOlsFit:
         assert fit.f_p == pytest.approx(0.0, abs=1e-12)
         assert fit.sigma == pytest.approx(0.0, abs=1e-10)
 
+    def test_exact_fit_with_zero_coefficient_gives_nan_p(self, monkeypatch):
+        # se = 0 and beta = 0 give t = nan; its p-value is nan, not an error
+        x = np.arange(1.0, 8.0)
+        X = DesignMatrix(X=np.column_stack([np.ones(7), x]), intercept_present=True,
+                         quantitative_idx=(1,), dummy_idx=(), labels=("intercept", "x"))
+        monkeypatch.setattr("collindiag.ols.linalg.least_squares",
+                            lambda A, y: np.array([0.0, 3.0]))
+        fit = ols_fit(3.0 * x, X)
+        assert fit.sigma == 0.0
+        assert math.isnan(fit.t[0]) and math.isnan(fit.p[0])
+        assert math.isinf(fit.t[1]) and fit.p[1] == 0.0
+
     def test_p_values_are_two_sided(self, kg_design, kg_y):
         fit = ols_fit(kg_y, kg_design)
         for ti, pi in zip(fit.t, fit.p):
@@ -186,3 +198,40 @@ class TestSignificanceContradiction:
         fit = ols_fit(theil_y, theil_design)
         with pytest.raises(ValueError, match="alpha"):
             significance_contradiction(fit, alpha=1.5)
+
+
+class TestTailPValues:
+    """p-values taken from the upper tail of the incomplete beta, checked
+    against scipy (a test-only oracle) far below 1e-16."""
+
+    def test_far_tail_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        from collindiag.ols import _betainc
+
+        # two-sided t test at t = 40 on 100 df, as ols_fit computes it
+        p = _betainc(50.0, 0.5, 100.0 / (100.0 + 40.0 ** 2))
+        assert p == pytest.approx(2.462107602140071e-63, rel=1e-10)
+        assert p == pytest.approx(2.0 * stats.t.sf(40.0, 100), rel=1e-10)
+        # F = 500 on (3, 100) df
+        f_p = _betainc(50.0, 1.5, 100.0 / (100.0 + 3 * 500.0))
+        assert f_p == pytest.approx(4.846696230808535e-60, rel=1e-10)
+        assert f_p == pytest.approx(stats.f.sf(500.0, 3, 100), rel=1e-10)
+
+    def test_ols_fit_p_values_against_scipy(self, theil_design, theil_y):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(6)
+        n = 104
+        x = rng.normal(size=(n, 3))
+        X = DesignMatrix(X=np.column_stack([np.ones(n), x]), intercept_present=True,
+                         quantitative_idx=(1, 2, 3), dummy_idx=(),
+                         labels=("intercept", "a", "b", "c"))
+        for noise in (1.0, 0.2, 0.05, 0.02):
+            y = X.X @ np.array([0.1, 0.5, 1.0, 2.0]) + noise * rng.normal(size=n)
+            fit = ols_fit(y, X)
+            assert_allclose(fit.p, 2.0 * stats.t.sf(np.abs(fit.t), fit.df_resid), rtol=1e-10)
+            assert fit.f_p == pytest.approx(stats.f.sf(fit.f_stat, 3, fit.df_resid), rel=1e-10)
+        assert fit.f_p < 1e-200 and fit.p[1:].max() < 1e-50
+
+        fit = ols_fit(theil_y, theil_design)
+        assert fit.f_p == pytest.approx(stats.f.sf(fit.f_stat, 3, fit.df_resid), rel=1e-10)
+        assert f"{fit.f_p:.7g}" == "7.047513e-09"

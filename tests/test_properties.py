@@ -265,10 +265,11 @@ class TestScalarProperties:
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(min_value=-0.999, max_value=0.999))
     def test_two_by_two_correlation_determinant(self, r):
-        from collindiag import determinant
+        from test_linalg import design_with_correlation
 
-        R = np.array([[1.0, r], [r, 1.0]])
-        assert determinant(R) == pytest.approx(1 - r * r, rel=1e-10, abs=1e-12)
+        rep = correlation_matrix(design_with_correlation(r))
+        assert rep.det_r == pytest.approx(1 - r * r, rel=1e-10, abs=1e-12)
+        assert rep.det_r == pytest.approx(np.linalg.det(rep.r), rel=1e-10, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(min_value=-30, max_value=30),
