@@ -30,6 +30,7 @@ from .diagnostics import (
     cn_severity,
     cns,
     coefficient_of_variation,
+    coefficients_of_variation,
     condition_number,
     correlation_matrix,
     multicol,
@@ -77,6 +78,7 @@ __all__ = [
     "cn_severity",
     "cns",
     "coefficient_of_variation",
+    "coefficients_of_variation",
     "condition_number",
     "correlation_matrix",
     "multicol",

@@ -23,7 +23,7 @@ from .diagnostics import (
     Thresholds,
     cn_severity,
     cns,
-    coefficient_of_variation,
+    coefficients_of_variation,
     condition_number,
     correlation_matrix,
     multicol,
@@ -213,29 +213,37 @@ def _thresholds_from_env() -> Thresholds:
 
 
 # ---------------------------------------------------------------------------
-# text rendering helpers
+# reports: one JSON conversion, the text layouts, and one builder per report
+# returning (result, text_lines, problematic)
 
 
-def _aligned_rows(pairs, render) -> list[str]:
-    width = max(len(label) for label, _ in pairs)
-    return [f"  {label.ljust(width)}  {render(value)}" for label, value in pairs]
+def _plain(obj):
+    """JSON-ready copy of a report value: dataclasses become dicts in
+    field order, tuples lists, numpy arrays and scalars Python values."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    return obj
 
 
 def _value_rows(pairs) -> list[str]:
-    return _aligned_rows(pairs, lambda v: _fmt(v) if v is not None
-                         else "undefined (centered variable)")
+    width = max(len(label) for label, _ in pairs)
+    return [f"  {label.ljust(width)}  "
+            + (_fmt(value) if value is not None else "undefined (centered variable)")
+            for label, value in pairs]
 
 
-def _matrix_lines(labels, rows) -> list[str]:
-    cells = [[_fmt(v) for v in row] for row in rows]
-    label_w = max(len(l) for l in labels)
-    col_w = [max(len(labels[j]), max(len(r[j]) for r in cells)) for j in range(len(labels))]
-    lines = ["  " + " " * label_w + "  " +
-             "  ".join(labels[j].rjust(col_w[j]) for j in range(len(labels)))]
-    for i, row in enumerate(cells):
-        lines.append("  " + labels[i].ljust(label_w) + "  " +
-                     "  ".join(row[j].rjust(col_w[j]) for j in range(len(labels))))
-    return lines
+def _table(header, rows) -> list[str]:
+    """Header and rows of cells: the first column left-aligned, the others
+    right-aligned, each column as wide as its widest cell."""
+    table = [header, *rows]
+    widths = [max(len(row[j]) for row in table) for j in range(len(header))]
+    return ["  " + "  ".join(cell.rjust(w) if j else cell.ljust(w)
+                             for j, (cell, w) in enumerate(zip(row, widths)))
+            for row in table]
 
 
 def _cn_verdict(cn: float, th: Thresholds) -> tuple[str, bool]:
@@ -248,92 +256,58 @@ def _cn_verdict(cn: float, th: Thresholds) -> tuple[str, bool]:
     return f"OK: CN={_fmt(cn)} < {_fmt(th.cn_moderate)}", False
 
 
-# ---------------------------------------------------------------------------
-# command payload builders; each returns (result, text_lines, problematic)
-
-
 def _corr_result(rep, th: Thresholds):
     result = {
-        "labels": list(rep.labels),
-        "correlation_matrix": [[float(v) for v in row] for row in rep.r],
-        "det_r": float(rep.det_r),
-        "det_threshold": float(rep.det_threshold),
-        "pairwise_threshold": float(th.pairwise_corr),
+        "labels": _plain(rep.labels),
+        "correlation_matrix": _plain(rep.r),
+        "det_r": rep.det_r,
+        "det_threshold": rep.det_threshold,
+        "pairwise_threshold": th.pairwise_corr,
         "flagged_pairs": [{"a": a, "b": b, "r": r} for a, b, r in rep.flagged_pairs],
         "problematic_pairs": rep.problematic_pairs,
         "problematic_det": rep.problematic_det,
     }
-    lines = ["Correlation matrix"]
-    lines += _matrix_lines(rep.labels, rep.r)
-    lines += ["", "Correlation matrix's determinant", f"  {_fmt(rep.det_r)}"]
-    if rep.flagged_pairs:
-        for a, b, r in rep.flagged_pairs:
-            lines.append(f"PROBLEMATIC: |r({a}, {b})|={_fmt(abs(r))} "
-                         f"> threshold {_fmt(th.pairwise_corr)}")
-    else:
-        lines.append(f"OK: no pairwise |r| above threshold {_fmt(th.pairwise_corr)}")
-    if rep.problematic_det:
-        lines.append(f"PROBLEMATIC: det(R)={_fmt(rep.det_r)} "
-                     f"< threshold {_fmt(rep.det_threshold)}")
-    else:
-        lines.append(f"OK: det(R)={_fmt(rep.det_r)} >= threshold {_fmt(rep.det_threshold)}")
+    matrix = [[label, *map(_fmt, row)] for label, row in zip(rep.labels, rep.r)]
+    problems = [f"PROBLEMATIC: |r({a}, {b})|={_fmt(abs(r))} > threshold {_fmt(th.pairwise_corr)}"
+                for a, b, r in rep.flagged_pairs]
+    lines = ["Correlation matrix", *_table(["", *rep.labels], matrix),
+             "", "Correlation matrix's determinant", f"  {_fmt(rep.det_r)}",
+             *(problems or [f"OK: no pairwise |r| above threshold {_fmt(th.pairwise_corr)}"])]
+    lines.append(f"PROBLEMATIC: det(R)={_fmt(rep.det_r)} < threshold {_fmt(rep.det_threshold)}"
+                 if rep.problematic_det else
+                 f"OK: det(R)={_fmt(rep.det_r)} >= threshold {_fmt(rep.det_threshold)}")
     return result, lines, rep.problematic
 
 
 def _vif_result(vifs, th: Thresholds):
     flagged = [(label, v) for label, v in vifs if v > th.vif_limit]
-    result = {
-        "vif": [{"label": label, "value": float(v)} for label, v in vifs],
-        "limit": float(th.vif_limit),
-        "problematic": bool(flagged),
-    }
-    lines = ["Variance Inflation Factors"]
-    lines += _value_rows(vifs)
-    if flagged:
-        for label, v in flagged:
-            lines.append(f"PROBLEMATIC: VIF({label})={_fmt(v)} > limit {_fmt(th.vif_limit)}")
-    else:
-        lines.append(f"OK: no VIF above limit {_fmt(th.vif_limit)}")
+    result = {"vif": [{"label": label, "value": v} for label, v in vifs],
+              "limit": th.vif_limit, "problematic": bool(flagged)}
+    problems = [f"PROBLEMATIC: VIF({label})={_fmt(v)} > limit {_fmt(th.vif_limit)}"
+                for label, v in flagged]
+    lines = ["Variance Inflation Factors", *_value_rows(vifs),
+             *(problems or [f"OK: no VIF above limit {_fmt(th.vif_limit)}"])]
     return result, lines, bool(flagged)
 
 
-def _cn_result(X, th: Thresholds):
-    value = condition_number(X)
+def _cn_result(value: float, th: Thresholds):
     verdict, problematic = _cn_verdict(value, th)
-    result = {"cn": float(value), "severity": cn_severity(value, th)}
-    lines = ["Condition Number", f"  {_fmt(value)}", verdict]
-    return result, lines, problematic
+    return ({"cn": value, "severity": cn_severity(value, th)},
+            ["Condition Number", f"  {_fmt(value)}", verdict], problematic)
 
 
-def _cns_result(X, th: Thresholds):
-    rep = cns(X)
+def _cns_result(rep, th: Thresholds):
     verdict, problematic = _cn_verdict(rep.cn_with, th)
-    result = {
-        "without": float(rep.cn_without),
-        "with": float(rep.cn_with),
-        "increase_pct": float(rep.increase_pct),
-        "severity": cn_severity(rep.cn_with, th),
-    }
-    lines = [
-        "Condition Number without intercept", f"  {_fmt(rep.cn_without)}",
-        "", "Condition Number with intercept", f"  {_fmt(rep.cn_with)}",
-        "", "Increase (in percentage)", f"  {_fmt(rep.increase_pct)}",
-        verdict,
-    ]
+    result = {"without": rep.cn_without, "with": rep.cn_with,
+              "increase_pct": rep.increase_pct, "severity": cn_severity(rep.cn_with, th)}
+    lines = ["Condition Number without intercept", f"  {_fmt(rep.cn_without)}",
+             "", "Condition Number with intercept", f"  {_fmt(rep.cn_with)}",
+             "", "Increase (in percentage)", f"  {_fmt(rep.increase_pct)}", verdict]
     return result, lines, problematic
 
 
 def _stewart_result(rep):
-    result = {
-        "labels": list(rep.labels),
-        "k2": [float(v) for v in rep.k2],
-        "essential_pct": None if rep.essential_pct is None
-        else [float(v) for v in rep.essential_pct],
-        "nonessential_pct": None if rep.nonessential_pct is None
-        else [float(v) for v in rep.nonessential_pct],
-    }
-    lines = ["Stewart index"]
-    lines += _value_rows(list(zip(rep.labels, rep.k2)))
+    lines = ["Stewart index", *_value_rows(list(zip(rep.labels, rep.k2)))]
     if rep.essential_pct is not None:
         quant = [l for l in rep.labels if l != "intercept"]
         lines += ["", "Proportion of essential collinearity (in percentage)"]
@@ -341,289 +315,160 @@ def _stewart_result(rep):
         lines += ["", "Proportion of non-essential collinearity (in percentage)"]
         lines += _value_rows(list(zip(quant, rep.nonessential_pct)))
     lines.append(f"{NO_THRESHOLD_NOTE} for the Stewart index")
-    return result, lines, False
+    return _plain(rep), lines, False
 
 
 def _cv_result(entries, th: Thresholds):
+    if not entries:
+        raise CliError("no quantitative regressors; nothing to compute a CV for")
     flagged = [(label, v) for label, v in entries if v is not None and v < th.cv_limit]
-    result = {
-        "cv": [{"label": label, "value": None if v is None else float(v),
-                "below_limit": v is not None and v < th.cv_limit}
-               for label, v in entries],
-        "limit": float(th.cv_limit),
-        "problematic": bool(flagged),
-    }
-    lines = ["Coefficients of Variation"]
-    lines += _value_rows(entries)
-    if flagged:
-        for label, v in flagged:
-            lines.append(f"PROBLEMATIC: CV({label})={_fmt(v)} < threshold "
-                         f"{_fmt(th.cv_limit)} (nonessential collinearity)")
-    else:
-        lines.append(f"OK: no CV below threshold {_fmt(th.cv_limit)}")
+    result = {"cv": [{"label": label, "value": v, "below_limit": (label, v) in flagged}
+                     for label, v in entries],
+              "limit": th.cv_limit, "problematic": bool(flagged)}
+    problems = [f"PROBLEMATIC: CV({label})={_fmt(v)} < threshold {_fmt(th.cv_limit)} "
+                f"(nonessential collinearity)" for label, v in flagged]
+    lines = ["Coefficients of Variation", *_value_rows(entries),
+             *(problems or [f"OK: no CV below threshold {_fmt(th.cv_limit)}"])]
     return result, lines, bool(flagged)
 
 
 def _dummy_pct_result(entries):
-    result = [{"label": label, "ones_pct": float(v)} for label, v in entries]
-    lines = ["Proportion of ones in the dummy variable"]
-    lines += _value_rows(entries)
-    for label, v in entries:
-        if v in (0.0, 100.0):
-            lines.append(f"WARNING: dummy {label} is degenerate "
-                         f"({'all ones duplicates the intercept' if v else 'all zeros'})")
+    result = [{"label": label, "ones_pct": v} for label, v in entries]
+    lines = ["Proportion of ones in the dummy variable", *_value_rows(entries)]
+    lines += [f"WARNING: dummy {label} is degenerate "
+              f"({'all ones duplicates the intercept' if v else 'all zeros'})"
+              for label, v in entries if v in (0.0, 100.0)]
     return result, lines, False
 
 
 def _slm_result(rep: SlmReport, th: Thresholds):
-    problematic = False
+    cv_low = not rep.is_dummy and rep.cv < th.cv_limit
     if rep.is_dummy:
-        result = {"kind": "dummy", "label": rep.label,
-                  "ones_pct": float(rep.ones_pct), "cn": float(rep.cn)}
+        result = {"kind": "dummy", "label": rep.label, "ones_pct": rep.ones_pct, "cn": rep.cn}
         lines = ["Proportion of ones in the dummy variable", f"  {_fmt(rep.ones_pct)}",
                  "", "Condition Number", f"  {_fmt(rep.cn)}"]
     else:
-        result = {"kind": "quantitative", "label": rep.label, "cv": float(rep.cv),
-                  "vif": float(rep.vif), "cn": float(rep.cn),
-                  "k2": [float(rep.k2[0]), float(rep.k2[1])]}
+        result = {"kind": "quantitative", "label": rep.label, "cv": rep.cv,
+                  "vif": rep.vif, "cn": rep.cn, "k2": _plain(rep.k2)}
         lines = ["Coefficient of Variation", f"  {_fmt(rep.cv)}",
                  "", "Variance Inflation Factor", f"  {_fmt(rep.vif)}",
                  "", "Condition Number", f"  {_fmt(rep.cn)}",
                  "", "Stewart index", f"  {_fmt(rep.k2[0])} {_fmt(rep.k2[1])}"]
-        if rep.cv < th.cv_limit:
+        if cv_low:
             lines.append(f"PROBLEMATIC: CV={_fmt(rep.cv)} < threshold {_fmt(th.cv_limit)} "
                          f"(nonessential collinearity)")
-            problematic = True
     verdict, severe = _cn_verdict(rep.cn, th)
-    lines.append(verdict)
     result["severity"] = cn_severity(rep.cn, th)
-    return result, lines, problematic or severe
+    return result, [*lines, verdict], cv_low or severe
 
 
-def _multicol_result(X, th: Thresholds):
-    report = multicol(X, th)
+def _multicol_result(report, th: Thresholds):
     if isinstance(report, SlmReport):
         result, lines, problematic = _slm_result(report, th)
         return {"slm": result}, lines, problematic
 
+    # (key, title printed over the note when absent, value, builder); the
+    # VIF section is absent exactly when the correlation section is
+    sections = (
+        ("cv", "Coefficients of Variation", report.cv, lambda v: _cv_result(v, th)),
+        ("dummy_pct", "Proportion of ones in the dummy variable", report.dummy_pct,
+         _dummy_pct_result),
+        ("correlation", "Correlation matrix", report.correlation, lambda v: _corr_result(v, th)),
+        ("vif", None, report.vifs, lambda v: _vif_result(v, th)),
+        ("cn", "Condition Number", report.cn, lambda v: _cns_result(v, th)),
+        ("stewart", "Stewart index", report.stewart, _stewart_result),
+    )
     result: dict = {"notes": dict(report.notes)}
     lines: list[str] = []
     problematic = False
-
-    if report.cv is None:
-        lines += ["Coefficients of Variation", f"  {report.notes['cv']}", ""]
-        result["cv"] = None
-    else:
-        section, section_lines, flag = _cv_result(report.cv, th)
-        result["cv"] = section
-        lines += section_lines + [""]
-        problematic = problematic or flag
-
-    if report.dummy_pct is None:
-        lines += ["Proportion of ones in the dummy variable",
-                  f"  {report.notes['dummy_pct']}", ""]
-        result["dummy_pct"] = None
-    else:
-        section, section_lines, _ = _dummy_pct_result(report.dummy_pct)
-        result["dummy_pct"] = section
-        lines += section_lines + [""]
-
-    if report.correlation is None:
-        lines += ["Correlation matrix", f"  {report.notes['correlation']}", ""]
-        result["correlation"] = None
-        result["vif"] = None
-    else:
-        section, section_lines, flag = _corr_result(report.correlation, th)
-        result["correlation"] = section
-        lines += section_lines + [""]
-        problematic = problematic or flag
-        section, section_lines, flag = _vif_result(report.vifs, th)
-        result["vif"] = section
-        lines += section_lines + [""]
-        problematic = problematic or flag
-
-    if report.cn is None:
-        lines += ["Condition Number", f"  {report.notes['cn']}", ""]
-        result["cn"] = None
-    else:
-        section, section_lines, flag = _cns_result(X, th)
-        result["cn"] = section
-        lines += section_lines + [""]
-        problematic = problematic or flag
-
-    if report.stewart is None:
-        lines += ["Stewart index", f"  {report.notes['stewart']}"]
-        result["stewart"] = None
-    else:
-        section, section_lines, _ = _stewart_result(report.stewart)
-        result["stewart"] = section
-        lines += section_lines
-
+    for key, title, value, build in sections:
+        if value is None:
+            result[key] = None
+            if title is None:
+                continue
+            section_lines = [title, f"  {report.notes[key]}"]
+        else:
+            result[key], section_lines, flag = build(value)
+            problematic = problematic or flag
+        lines += ([""] if lines else []) + section_lines
     return result, lines, problematic
 
 
 def _ols_result(y, X, alpha: float):
     fit = ols_fit(y, X)
     verdict = significance_contradiction(fit, alpha)
-    result = {
-        "labels": list(fit.labels),
-        "beta": [float(v) for v in fit.beta],
-        "se": [float(v) for v in fit.se],
-        "t": [float(v) for v in fit.t],
-        "p": [float(v) for v in fit.p],
-        "sigma": float(fit.sigma),
-        "df_resid": int(fit.df_resid),
-        "r2": float(fit.r2),
-        "adj_r2": float(fit.adj_r2),
-        "f_stat": float(fit.f_stat),
-        "f_p": float(fit.f_p),
-        "contradiction": {
-            "contradiction": verdict.contradiction,
-            "alpha": float(verdict.alpha),
-            "f_p": float(verdict.f_p),
-            "min_coef_p": float(verdict.min_coef_p),
-            "description": verdict.description,
-        },
-    }
-    header = ["", "Estimate", "Std. Error", "t value", "Pr(>|t|)"]
-    rows = [
-        [label, _fmt(b), _fmt(s), _fmt(t), _fmt(p)]
-        for label, b, s, t, p in zip(fit.labels, fit.beta, fit.se, fit.t, fit.p)
-    ]
-    widths = [max(len(r[j]) for r in [header] + rows) for j in range(5)]
-    lines = ["Coefficients",
-             "  " + "  ".join(header[j].rjust(widths[j]) for j in range(5))]
-    for r in rows:
-        lines.append("  " + r[0].ljust(widths[0]) + "  " +
-                      "  ".join(r[j].rjust(widths[j]) for j in range(1, 5)))
-    k = len(fit.labels)
-    lines += [
-        "",
-        f"Residual standard error: {_fmt(fit.sigma)} on {fit.df_resid} degrees of freedom",
-        f"Multiple R-squared: {_fmt(fit.r2)}, Adjusted R-squared: {_fmt(fit.adj_r2)}",
-        f"F-statistic: {_fmt(fit.f_stat)} on {k - 1} and {fit.df_resid} DF, "
-        f"p-value: {_fmt(fit.f_p)}",
-    ]
-    if verdict.contradiction:
-        lines.append(f"PROBLEMATIC: {verdict.description}")
-    else:
-        lines.append(f"OK: {verdict.description} at alpha={verdict.alpha:g}")
+    result = {name: _plain(getattr(fit, name)) for name in (
+        "labels", "beta", "se", "t", "p", "sigma", "df_resid", "r2", "adj_r2", "f_stat", "f_p")}
+    result["contradiction"] = _plain(verdict)
+    lines = ["Coefficients", *_table(["", "Estimate", "Std. Error", "t value", "Pr(>|t|)"],
+                                     [[label, *map(_fmt, row)] for label, *row in
+                                      zip(fit.labels, fit.beta, fit.se, fit.t, fit.p)]),
+             "", f"Residual standard error: {_fmt(fit.sigma)} on {fit.df_resid} degrees of freedom",
+             f"Multiple R-squared: {_fmt(fit.r2)}, Adjusted R-squared: {_fmt(fit.adj_r2)}",
+             f"F-statistic: {_fmt(fit.f_stat)} on {len(fit.labels) - 1} and {fit.df_resid} DF, "
+             f"p-value: {_fmt(fit.f_p)}",
+             f"PROBLEMATIC: {verdict.description}" if verdict.contradiction
+             else f"OK: {verdict.description} at alpha={verdict.alpha:g}"]
     return result, lines, verdict.contradiction
 
 
 def _perturb_result(y, X, args):
-    cfg = PerturbConfig(
-        tol=args.tol,
-        iterations=args.iterations,
-        noise_mean=args.noise_mean,
-        noise_sd=args.noise_sd,
-        positions=args.pos if args.pos is not None else (),
-        seed=args.seed,
-    )
-    derived = tuple(
-        pos for pos, idx in enumerate(X.non_intercept_idx, start=1)
-        if idx in X.quantitative_idx
-    )
+    settings = ("tol", "iterations", "noise_mean", "noise_sd", "seed")
+    cfg = PerturbConfig(positions=args.pos or (),
+                        **{name: getattr(args, name) for name in settings})
+    res = perturb_n(y, X, cfg)
+    derived = tuple(pos for pos, idx in enumerate(X.non_intercept_idx, start=1)
+                    if idx in X.quantitative_idx)
     if args.pos is not None and tuple(sorted(args.pos)) != derived:
         print(f"note: --pos {','.join(map(str, args.pos))} overrides the role-derived "
               f"positions {','.join(map(str, derived))}", file=sys.stderr)
-    res = perturb_n(y, X, cfg)
     perturbed = (X.quantitative_labels if not cfg.positions
                  else tuple(X.labels[X.non_intercept_idx[p - 1]] for p in cfg.positions))
-
-    def stats(s):
-        return {"mean": s.mean, "sd": s.sd, "min": s.min, "max": s.max,
-                "q2_5": s.q2_5, "q97_5": s.q97_5}
-
-    result = {
-        "tol": cfg.tol,
-        "iterations": cfg.iterations,
-        "noise_mean": cfg.noise_mean,
-        "noise_sd": cfg.noise_sd,
-        "seed": cfg.seed,
-        "perturbed": list(perturbed),
-        "achieved_pct": stats(res.achieved_summary),
-        "change_pct": stats(res.change_summary),
-    }
-    header = ["", "mean", "sd", "min", "max", "q2.5", "q97.5"]
-    rows = []
-    for name, s in (("achieved_pct", res.achieved_summary), ("change_pct", res.change_summary)):
-        rows.append([name, _fmt(s.mean), _fmt(s.sd), _fmt(s.min), _fmt(s.max),
-                     _fmt(s.q2_5), _fmt(s.q97_5)])
-    widths = [max(len(r[j]) for r in [header] + rows) for j in range(7)]
-    lines = [
-        f"Perturbation experiment: tol={cfg.tol:g}, iterations={cfg.iterations}, "
-        f"noise ~ Normal({cfg.noise_mean:g}, {cfg.noise_sd:g})"
-        + (f", seed={cfg.seed}" if cfg.seed is not None else ""),
-        f"Perturbed regressors: {', '.join(perturbed)}",
-        "",
-        "  " + "  ".join(header[j].rjust(widths[j]) for j in range(7)),
-    ]
-    for r in rows:
-        lines.append("  " + r[0].ljust(widths[0]) + "  " +
-                      "  ".join(r[j].rjust(widths[j]) for j in range(1, 7)))
-    lines.append(f"{NO_THRESHOLD_NOTE} for the coefficient change")
+    summaries = {"achieved_pct": _plain(res.achieved_summary),
+                 "change_pct": _plain(res.change_summary)}
+    result = {name: getattr(cfg, name) for name in settings}
+    result.update(perturbed=list(perturbed), **summaries)
+    lines = [f"Perturbation experiment: tol={cfg.tol:g}, iterations={cfg.iterations}, "
+             f"noise ~ Normal({cfg.noise_mean:g}, {cfg.noise_sd:g})"
+             + (f", seed={cfg.seed}" if cfg.seed is not None else ""),
+             f"Perturbed regressors: {', '.join(perturbed)}", "",
+             *_table(["", "mean", "sd", "min", "max", "q2.5", "q97.5"],
+                     [[name, *map(_fmt, s.values())] for name, s in summaries.items()]),
+             f"{NO_THRESHOLD_NOTE} for the coefficient change"]
     return result, lines, False
 
 
-# ---------------------------------------------------------------------------
+# (X, ds, args, th) -> (result, text_lines, problematic) per subcommand.  Each
+# looks library functions up by module-global name at call time, so wrappers
+# set on this module's attributes (bench/spans.py traces so) see every call.
 
-
-def _run(args) -> tuple[dict, list[str], bool, str]:
-    th = _thresholds_from_env()
-    ds = _load_dataset(args)
-    X = design_matrix(ds)
-
-    if args.command == "rdetr":
-        result, lines, problematic = _corr_result(correlation_matrix(X, th), th)
-    elif args.command == "vif":
-        result, lines, problematic = _vif_result(vif(X), th)
-    elif args.command == "cn":
-        result, lines, problematic = _cn_result(X, th)
-    elif args.command == "cns":
-        result, lines, problematic = _cns_result(X, th)
-    elif args.command == "ki":
-        result, lines, problematic = _stewart_result(stewart_index(X))
-    elif args.command == "cv":
-        if not X.quantitative_idx:
-            raise CliError("no quantitative regressors; nothing to compute a CV for")
-        entries = []
-        for i in X.quantitative_idx:
-            try:
-                entries.append((X.labels[i], coefficient_of_variation(X.X[:, i])))
-            except ValueError:
-                entries.append((X.labels[i], None))
-        result, lines, problematic = _cv_result(tuple(entries), th)
-    elif args.command == "slm":
-        result, lines, problematic = _slm_result(slm(X, th), th)
-    elif args.command == "multicol":
-        result, lines, problematic = _multicol_result(X, th)
-    elif args.command == "ols":
-        result, lines, problematic = _ols_result(response_vector(ds), X, args.alpha)
-    elif args.command == "perturb":
-        result, lines, problematic = _perturb_result(response_vector(ds), X, args)
-    else:  # unreachable: argparse restricts the choices
-        raise CliError(f"unknown command {args.command!r}")
-    return result, lines, problematic, ds.name
+COMMANDS = {
+    "rdetr": lambda X, ds, args, th: _corr_result(correlation_matrix(X, th), th),
+    "vif": lambda X, ds, args, th: _vif_result(vif(X), th),
+    "cn": lambda X, ds, args, th: _cn_result(condition_number(X), th),
+    "cns": lambda X, ds, args, th: _cns_result(cns(X), th),
+    "ki": lambda X, ds, args, th: _stewart_result(stewart_index(X)),
+    "cv": lambda X, ds, args, th: _cv_result(coefficients_of_variation(X), th),
+    "slm": lambda X, ds, args, th: _slm_result(slm(X, th), th),
+    "multicol": lambda X, ds, args, th: _multicol_result(multicol(X, th), th),
+    "ols": lambda X, ds, args, th: _ols_result(response_vector(ds), X, args.alpha),
+    "perturb": lambda X, ds, args, th: _perturb_result(response_vector(ds), X, args),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        result, lines, problematic, dataset_name = _run(args)
+        th = _thresholds_from_env()
+        ds = _load_dataset(args)
+        result, lines, problematic = COMMANDS[args.command](design_matrix(ds), ds, args, th)
     except (CliError, ValueError, FileNotFoundError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "json":
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "dataset": dataset_name,
-            "problematic": problematic,
-            "result": result,
-        }
+        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                    "dataset": ds.name, "problematic": problematic, "result": result}
         print(json.dumps(envelope, indent=2))
     else:
         print("\n".join(lines))

@@ -30,6 +30,7 @@ __all__ = [
     "cn_severity",
     "stewart_index",
     "coefficient_of_variation",
+    "coefficients_of_variation",
     "proportion_of_ones",
     "slm",
     "multicol",
@@ -320,6 +321,19 @@ def coefficient_of_variation(col) -> float:
     return float(sd / abs(mean))
 
 
+def coefficients_of_variation(X: DesignMatrix) -> tuple[tuple[str, float | None], ...]:
+    """(label, coefficient of variation) for each quantitative regressor
+    of X, in column order; None for a centered regressor, whose CV is
+    undefined."""
+    entries = []
+    for i in X.quantitative_idx:
+        try:
+            entries.append((X.labels[i], coefficient_of_variation(X.X[:, i])))
+        except ValueError:
+            entries.append((X.labels[i], None))
+    return tuple(entries)
+
+
 def proportion_of_ones(col) -> float:
     """Percentage of ones in a 0/1 column."""
     x = np.asarray(col, dtype=float)
@@ -369,13 +383,7 @@ def multicol(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS):
 
     cv_entries = None
     if X.quantitative_idx:
-        entries = []
-        for i in X.quantitative_idx:
-            try:
-                entries.append((X.labels[i], coefficient_of_variation(X.X[:, i])))
-            except ValueError:
-                entries.append((X.labels[i], None))
-        cv_entries = tuple(entries)
+        cv_entries = coefficients_of_variation(X)
     else:
         notes["cv"] = NEED_ONE_QUANTITATIVE
 

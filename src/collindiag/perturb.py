@@ -9,6 +9,7 @@ larger than the perturbation that caused them.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,12 @@ class PerturbConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        for name in ("tol", "noise_mean", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        repeated = sorted({p for p in self.positions if self.positions.count(p) > 1})
+        if repeated:
+            raise ValueError(f"position {repeated[0]} given more than once")
         if not self.tol >= 0.0:
             raise ValueError("tol must be nonnegative")
         if self.iterations < 1:

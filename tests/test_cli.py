@@ -255,6 +255,21 @@ class TestPerturbCommand:
         assert code == 2
         assert "quantitative" in err
 
+    @pytest.mark.parametrize("pos", ["0", "3", "1,1"])
+    def test_rejected_pos_prints_only_the_error(self, capsys, pos):
+        code, out, err = run(capsys, "perturb", "--fixture", "theil",
+                             "--iterations", "5", "--pos", pos)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: position ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--tol", "--noise-mean", "--noise-sd"])
+    def test_non_finite_setting_is_named(self, capsys, flag):
+        code, _, err = run(capsys, "perturb", "--fixture", "theil",
+                           "--iterations", "5", flag, "inf")
+        assert code == 2
+        assert err == f"error: {flag[2:].replace('-', '_')} must be finite\n"
+
     def test_bad_pos_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--fixture", "theil", "--pos", "1;2"])

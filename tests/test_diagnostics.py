@@ -14,6 +14,7 @@ from collindiag import (
     cn_severity,
     cns,
     coefficient_of_variation,
+    coefficients_of_variation,
     condition_number,
     correlation_matrix,
     multicol,
@@ -301,6 +302,12 @@ class TestCoefficientOfVariation:
     def test_centered_column_rejected(self):
         with pytest.raises(ValueError, match="centered"):
             coefficient_of_variation([-1.0, 0.0, 1.0])
+
+    def test_per_regressor_entries_with_none_for_centered(self, theil_design):
+        assert coefficients_of_variation(theil_design) == (
+            ("income", coefficient_of_variation(theil_design.X[:, 1])),
+            ("relprice", coefficient_of_variation(theil_design.X[:, 2])))
+        assert coefficients_of_variation(orthogonal_design()) == (("x1", None), ("x2", None))
 
 
 class TestProportionOfOnes:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -73,6 +75,18 @@ class TestPerturbConfig:
             PerturbConfig(iterations=0)
         with pytest.raises(ValueError, match="noise_sd"):
             PerturbConfig(noise_sd=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tol", math.inf), ("tol", math.nan), ("noise_mean", math.inf),
+        ("noise_mean", -math.inf), ("noise_mean", math.nan), ("noise_sd", math.inf),
+    ])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PerturbConfig(**{field: value})
+
+    def test_repeated_position_rejected(self):
+        with pytest.raises(ValueError, match="position 2 given more than once"):
+            PerturbConfig(positions=(2, 1, 2))
 
 
 class TestPerturbOnce:
