@@ -246,14 +246,14 @@ def _table(header, rows) -> list[str]:
             for row in table]
 
 
-def _cn_verdict(cn: float, th: Thresholds) -> tuple[str, bool]:
+def _cn_verdict(cn: float, th: Thresholds) -> tuple[str, str]:
     severity = cn_severity(cn, th)
     if severity == "severe":
-        return f"PROBLEMATIC: CN={_fmt(cn)} > {_fmt(th.cn_severe)}", True
+        return f"PROBLEMATIC: CN={_fmt(cn)} > {_fmt(th.cn_severe)}", severity
     if severity == "moderate":
         return (f"MODERATE: CN={_fmt(cn)} in [{_fmt(th.cn_moderate)}, "
-                f"{_fmt(th.cn_severe)}]"), False
-    return f"OK: CN={_fmt(cn)} < {_fmt(th.cn_moderate)}", False
+                f"{_fmt(th.cn_severe)}]"), severity
+    return f"OK: CN={_fmt(cn)} < {_fmt(th.cn_moderate)}", severity
 
 
 def _corr_result(rep, th: Thresholds):
@@ -291,19 +291,19 @@ def _vif_result(vifs, th: Thresholds):
 
 
 def _cn_result(value: float, th: Thresholds):
-    verdict, problematic = _cn_verdict(value, th)
-    return ({"cn": value, "severity": cn_severity(value, th)},
-            ["Condition Number", f"  {_fmt(value)}", verdict], problematic)
+    verdict, severity = _cn_verdict(value, th)
+    return ({"cn": value, "severity": severity},
+            ["Condition Number", f"  {_fmt(value)}", verdict], severity == "severe")
 
 
 def _cns_result(rep, th: Thresholds):
-    verdict, problematic = _cn_verdict(rep.cn_with, th)
+    verdict, severity = _cn_verdict(rep.cn_with, th)
     result = {"without": rep.cn_without, "with": rep.cn_with,
-              "increase_pct": rep.increase_pct, "severity": cn_severity(rep.cn_with, th)}
+              "increase_pct": rep.increase_pct, "severity": severity}
     lines = ["Condition Number without intercept", f"  {_fmt(rep.cn_without)}",
              "", "Condition Number with intercept", f"  {_fmt(rep.cn_with)}",
              "", "Increase (in percentage)", f"  {_fmt(rep.increase_pct)}", verdict]
-    return result, lines, problematic
+    return result, lines, severity == "severe"
 
 
 def _stewart_result(rep):
@@ -357,9 +357,9 @@ def _slm_result(rep: SlmReport, th: Thresholds):
         if cv_low:
             lines.append(f"PROBLEMATIC: CV={_fmt(rep.cv)} < threshold {_fmt(th.cv_limit)} "
                          f"(nonessential collinearity)")
-    verdict, severe = _cn_verdict(rep.cn, th)
-    result["severity"] = cn_severity(rep.cn, th)
-    return result, [*lines, verdict], cv_low or severe
+    verdict, severity = _cn_verdict(rep.cn, th)
+    result["severity"] = severity
+    return result, [*lines, verdict], cv_low or severity == "severe"
 
 
 def _multicol_result(report, th: Thresholds):
