@@ -8,6 +8,7 @@ variation.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ class Thresholds:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"threshold {f.name} must be finite")
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"threshold {f.name} must be positive")
         if self.cn_moderate >= self.cn_severe:

@@ -1,7 +1,7 @@
 """Dense linear algebra on numpy's LAPACK: unit-length column scaling,
 the singular cut, SVDs of scaled column blocks and least squares.
 
-The singular cut is one rule, applied in _check_rank only: a block of k
+The singular cut is one rule, written in _past_cut only: a block of k
 columns from an n-row design is numerically singular iff, with every
 column scaled to unit length, its singular values satisfy
 s_min <= max(n, k) * eps * s_max (numpy's matrix_rank tolerance).  It
@@ -46,11 +46,36 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The singular cut on the descending singular values s (..., k) of
+    unit-scaled blocks of k columns from n-row designs: True where singular."""
+    return s[..., -1] <= max(n, k) * np.finfo(float).eps * s[..., 0]
+
+
 def _check_rank(s: np.ndarray, n: int, k: int) -> None:
-    """The singular cut on the descending singular values s of a unit-scaled
-    block of k columns from an n-row design."""
-    if s.size < k or s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
+    """Raise SingularMatrixError if the singular values s of one unit-scaled
+    block of k columns from an n-row design fail the cut."""
+    if s.size < k or _past_cut(s, n, k):
         raise SingularMatrixError(SINGULAR_MESSAGE)
+
+
+def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each n x (k+1) matrix [X | y] in the stack A: the least squares
+    coefficients of y on X, from one stacked QR, and whether X fails the
+    singular cut (its coefficients are left 0).  The cut is taken on the
+    unit-scaled R[:k, :k], which has the singular values of X."""
+    if A.shape[1] < k:
+        raise ValueError(f"need at least as many observations ({A.shape[1]}) as columns ({k})")
+    R = np.linalg.qr(A, mode="r")
+    Rk = R[:, :k, :k]
+    singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
+    ok = np.flatnonzero(~singular)
+    scaled = Rk[ok] / np.sqrt((Rk[ok] * Rk[ok]).sum(axis=1))[:, None, :]
+    singular[ok] = _past_cut(np.linalg.svd(scaled, compute_uv=False), A.shape[1], k)
+    ok = np.flatnonzero(~singular)
+    beta = np.zeros((len(A), k))
+    beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]
+    return beta, singular
 
 
 def unit_length_scale(M) -> np.ndarray:

@@ -29,6 +29,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MAX_RETRIES = 10
+_BLOCK_BYTES = 1 << 20  # draws are worked in blocks of about this many bytes
 
 
 @dataclass(frozen=True)
@@ -78,26 +79,25 @@ class SummaryStats:
 @dataclass(frozen=True)
 class PerturbResult:
     """Per-iteration achieved perturbation and coefficient change, both
-    in percent, with their summaries."""
+    in percent, with their summaries; resamples counts redrawn draws."""
 
     achieved_pct: np.ndarray
     change_pct: np.ndarray
     achieved_summary: SummaryStats
     change_summary: SummaryStats
+    resamples: int = 0
 
 
 def perturb_column(x, tol: float, r) -> np.ndarray:
     """Perturb x along direction r so that ||x_p - x|| / ||x|| = tol."""
     xv = np.asarray(x, dtype=float)
-    rv = np.asarray(r, dtype=float)
+    rv = np.array(r, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have the same shape")
     norm_x = float(np.linalg.norm(xv))
-    norm_r = float(np.linalg.norm(rv))
     if norm_x == 0.0:
         raise ValueError("cannot perturb a zero column")
-    if norm_r == 0.0:
-        raise ValueError("noise vector has zero norm")
+    norm_r = float(_noise_norms(rv[None])[0])  # may rescale rv in place
     return xv + tol * rv * (norm_x / norm_r)
 
 
@@ -134,33 +134,79 @@ def perturb_once(y, X: DesignMatrix, cfg: PerturbConfig,
     columns with the Frobenius norm; change_pct is the relative
     Euclidean displacement of the coefficient vector, in percent.
     """
-    yv = np.asarray(y, dtype=float)
-    return _draw(yv, X, _selected_columns(X, cfg), linalg.least_squares(X.X, yv), cfg, rng)
+    achieved, change, _ = _draws(np.asarray(y, dtype=float), X, _selected_columns(X, cfg),
+                                 cfg, rng, 1)
+    return float(achieved[0]), float(change[0])
 
 
-def _draw(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], beta: np.ndarray,
-          cfg: PerturbConfig, rng: np.random.Generator) -> tuple[float, float]:
-    """perturb_once with the selected columns and baseline fit beta given."""
-    for attempt in range(_MAX_RETRIES):
-        Xp = X.X.copy()
-        for idx in selected:
-            r = rng.normal(cfg.noise_mean, cfg.noise_sd, X.n)
-            Xp[:, idx] = perturb_column(X.X[:, idx], cfg.tol, r)
-        try:
-            beta_p = linalg.least_squares(Xp, yv)
-            break
-        except linalg.SingularMatrixError:
-            log.warning("perturbed design singular; resampling (attempt %d)", attempt + 1)
-    else:
-        raise linalg.SingularMatrixError(
-            f"perturbed design stayed singular after {_MAX_RETRIES} resamples"
-        )
+def _noise_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of R, bit-equal to np.linalg.norm;
+    rows whose norm would overflow or underflow are first divided, in
+    place, by their largest magnitude."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((R[..., None, :] @ R[..., :, None])[..., 0, 0])
+    bad = ~((norms >= 1e-150) & (norms <= 1e150))
+    if bad.any():
+        peak = np.abs(R[bad]).max(axis=-1, keepdims=True)
+        if not peak.all():
+            raise ValueError("noise vector has zero norm")
+        R[bad] /= peak
+        norms[bad] = _noise_norms(R[bad])
+    return norms
 
-    sel = list(selected)
+
+def _draws(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], cfg: PerturbConfig,
+           rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """count draws: (achieved_pct, change_pct, resamples).  Each block of
+    about _BLOCK_BYTES takes its noise in one rng.normal call, draw-major
+    then column order: the stream of one call per column per draw.  A
+    draw failing the singular cut is redrawn after its block's noise, up
+    to _MAX_RETRIES attempts in all."""
+    n, k = X.X.shape
+    if yv.shape != (n,):
+        raise ValueError(f"response length {yv.shape} does not match {n} rows")
+    sel, s = list(selected), len(selected)
+    base = linalg._as_matrix(np.column_stack([X.X, yv]))
+    (beta,), (singular,) = linalg._qr_fit(base[None], k)
+    if singular:
+        raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
+    x = X.X[:, sel].T
+    x_norms = np.array([np.linalg.norm(X.X[:, j]) for j in sel])
     base_norm = float(np.linalg.norm(X.X[:, sel]))
-    achieved = 100.0 * float(np.linalg.norm(Xp[:, sel] - X.X[:, sel])) / base_norm
-    change = 100.0 * float(np.linalg.norm(beta - beta_p)) / float(np.linalg.norm(beta))
-    return achieved, change
+    beta_norm = float(np.linalg.norm(beta))
+
+    def block(W):
+        """Perturb, refit and measure every draw of the noise block W (c, s, n)."""
+        ratio = x_norms / _noise_norms(W)
+        W *= cfg.tol
+        W *= ratio[..., None]
+        W += x
+        D = (W - x).reshape(len(W), s * n)
+        achieved = 100.0 * np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0, 0] / base_norm
+        A = np.broadcast_to(base, (len(W), n, k + 1)).copy()
+        A[:, :, sel] = W.transpose(0, 2, 1)
+        beta_p, singular = linalg._qr_fit(A, k)
+        change = 100.0 * np.linalg.norm(beta - beta_p, axis=1) / beta_norm
+        return achieved, change, singular
+
+    achieved, change, resamples = np.empty(count), np.empty(count), 0
+    size = max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s)))
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        a, ch, singular = block(rng.normal(cfg.noise_mean, cfg.noise_sd, (stop - start, s, n)))
+        for i in np.flatnonzero(singular):
+            for attempt in range(1, _MAX_RETRIES + 1):
+                log.warning("perturbed design singular; resampling (attempt %d)", attempt)
+                if attempt == _MAX_RETRIES:
+                    raise linalg.SingularMatrixError(
+                        f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
+                resamples += 1
+                a[i:i + 1], ch[i:i + 1], again = block(
+                    rng.normal(cfg.noise_mean, cfg.noise_sd, (1, s, n)))
+                if not again[0]:
+                    break
+        achieved[start:stop], change[start:stop] = a, ch
+    return achieved, change, resamples
 
 
 def _summarize(values: np.ndarray) -> SummaryStats:
@@ -179,19 +225,16 @@ def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     """Run cfg.iterations independent perturbation draws.
 
     The baseline is fit once.  The same seed always reproduces the
-    result bit for bit.
+    result bit for bit, and the draws match those of one rng.normal call
+    per column per draw as long as no draw is resampled.
     """
-    yv = np.asarray(y, dtype=float)
-    selected = _selected_columns(X, cfg)
-    beta = linalg.least_squares(X.X, yv)
     rng = np.random.default_rng(cfg.seed)
-    achieved = np.empty(cfg.iterations)
-    change = np.empty(cfg.iterations)
-    for i in range(cfg.iterations):
-        achieved[i], change[i] = _draw(yv, X, selected, beta, cfg, rng)
+    achieved, change, resamples = _draws(np.asarray(y, dtype=float), X,
+                                         _selected_columns(X, cfg), cfg, rng, cfg.iterations)
     return PerturbResult(
         achieved_pct=achieved,
         change_pct=change,
         achieved_summary=_summarize(achieved),
         change_summary=_summarize(change),
+        resamples=resamples,
     )

@@ -307,6 +307,15 @@ class TestThresholdOverrides:
         assert code == 2
         assert "not a number" in err
 
+    def test_non_finite_threshold_rejected(self, capsys, tmp_path, monkeypatch):
+        override = tmp_path / "thresholds.cfg"
+        override.write_text("vif_limit = nan\n", encoding="utf-8")
+        monkeypatch.setenv(THRESHOLDS_ENV, str(override))
+        code, out, err = run(capsys, "multicol", "--fixture", "kg", "--fail-on-problematic")
+        assert code == 2
+        assert out == ""
+        assert "threshold vif_limit must be finite" in err
+
     def test_missing_override_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(THRESHOLDS_ENV, str(tmp_path / "gone.cfg"))
         code, _, err = run(capsys, "vif", "--fixture", "theil")

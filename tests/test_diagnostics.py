@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestThresholds:
             Thresholds(vif_limit=-1.0)
         with pytest.raises(ValueError, match="cn_moderate"):
             Thresholds(cn_moderate=30.0, cn_severe=20.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["vif_limit", "cn_severe"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"threshold {name} must be finite"):
+            Thresholds(**{name: value})
 
 
 class TestCorrelationMatrix:

@@ -1,4 +1,7 @@
+import logging
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from collindiag import (
     PerturbConfig,
+    SingularMatrixError,
     condition_number,
+    perturb,
     perturb_column,
     perturb_n,
     perturb_once,
@@ -180,3 +185,140 @@ class TestPerturbN:
         assert s.sd == pytest.approx(float(c.std(ddof=1)), abs=0)
         assert s.q2_5 == pytest.approx(float(np.percentile(c, 2.5)), abs=0)
         assert s.q97_5 == pytest.approx(float(np.percentile(c, 97.5)), abs=0)
+
+
+class StubRng:
+    """Hands out the given noise arrays in turn, one per normal() call."""
+
+    def __init__(self, *noise):
+        self.noise = list(noise)
+
+    def normal(self, mean, sd, size):
+        return np.array(self.noise.pop(0), dtype=float).reshape(size)
+
+
+def loop_replay(X, cfg):
+    """The perturbed designs and achieved_pct of the per-draw loop: one
+    rng.normal call per selected column per draw, each column replaced by
+    x + tol * r * (||x|| / ||r||), achieved from the selected block."""
+    rng = np.random.default_rng(cfg.seed)
+    sel = list(X.quantitative_idx)
+    designs, achieved = [], []
+    for _ in range(cfg.iterations):
+        Xp = X.X.copy()
+        for j in sel:
+            r = rng.normal(cfg.noise_mean, cfg.noise_sd, X.n)
+            Xp[:, j] = X.X[:, j] + cfg.tol * r * (np.linalg.norm(X.X[:, j]) / np.linalg.norm(r))
+        designs.append(Xp)
+        achieved.append(100.0 * float(np.linalg.norm(Xp[:, sel] - X.X[:, sel]))
+                        / float(np.linalg.norm(X.X[:, sel])))
+    return designs, np.array(achieved)
+
+
+@pytest.fixture(params=["kg", "theil"])
+def fixture_xy(request):
+    return (request.getfixturevalue(f"{request.param}_design"),
+            request.getfixturevalue(f"{request.param}_y"))
+
+
+class TestKernelAgainstLoop:
+    def test_achieved_bit_identical_to_loop_formula(self, fixture_xy):
+        X, y = fixture_xy
+        cfg = PerturbConfig(iterations=300, seed=21)
+        _, achieved = loop_replay(X, cfg)
+        assert perturb_n(y, X, cfg).achieved_pct.tobytes() == achieved.tobytes()
+
+    def test_change_matches_50_digit_replay(self, fixture_xy):
+        mpmath = pytest.importorskip("mpmath")
+        X, y = fixture_xy
+        cfg = PerturbConfig(iterations=100, seed=22)
+        designs, _ = loop_replay(X, cfg)
+        got = perturb_n(y, X, cfg).change_pct
+        with mpmath.workdps(50):
+            def beta(A):
+                A, b = mpmath.matrix(A.tolist()), mpmath.matrix(y.tolist())
+                return mpmath.lu_solve(A.T * A, A.T * b)
+
+            base = beta(X.X)
+            want = [float(100 * mpmath.norm(base - beta(Xp)) / mpmath.norm(base))
+                    for Xp in designs]
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("draws_per_block", [1, 7, None])
+    def test_block_size_leaves_every_bit(self, monkeypatch, fixture_xy, draws_per_block):
+        X, y = fixture_xy
+        cfg = PerturbConfig(iterations=50, seed=23)
+        default = perturb_n(y, X, cfg)
+        s = len(X.quantitative_idx)
+        block = 1 << 40 if draws_per_block is None else draws_per_block * 8 * X.n * (X.k + 1 + s)
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", block)
+        res = perturb_n(y, X, cfg)
+        assert res.achieved_pct.tobytes() == default.achieved_pct.tobytes()
+        assert res.change_pct.tobytes() == default.change_pct.tobytes()
+
+    def test_memory_bounded_by_blocks(self):
+        # unblocked, 400 draws at n = 5000 would hold 16 MB of noise and
+        # 48 MB of stacked [Xp | y] designs
+        n = 5000
+        rng = np.random.default_rng(4)
+        x = rng.normal(2.0, 1.0, n)
+        X = DesignMatrix(np.column_stack([np.ones(n), x]), True, (1,), (), ("intercept", "x"))
+        y = 1.0 + 2.0 * x + rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = perturb_n(y, X, PerturbConfig(iterations=400, seed=1))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.change_pct.shape == (400,)
+        assert peak < 8e6, peak
+        assert elapsed < 1.0, elapsed
+
+
+class TestRedraw:
+    def design(self):
+        X = toy_design()
+        return X, X.X @ np.array([1.0, 2.0, 3.0]) + np.linspace(0.0, 0.3, X.n)
+
+    def test_singular_draw_is_redrawn_after_its_block(self, monkeypatch, caplog):
+        # with tol = 1, the noise r = -x makes the perturbed column exactly 0
+        X, y = self.design()
+        r_a, r_b, r_c = np.random.default_rng(6).normal(size=(3, X.n))
+        cfg = PerturbConfig(tol=1.0, iterations=3, positions=(1,), seed=0)
+        expected = [perturb_once(y, X, cfg, StubRng(r)) for r in (r_a, r_b, r_c)]
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: StubRng([r_a, -X.X[:, 1], r_c], r_b))
+        with caplog.at_level(logging.WARNING, logger="collindiag.perturb"):
+            res = perturb_n(y, X, cfg)
+        assert res.resamples == 1
+        assert "resampling (attempt 1)" in caplog.text
+        assert_array_equal(res.achieved_pct, [a for a, _ in expected])
+        assert_array_equal(res.change_pct, [c for _, c in expected])
+
+    def test_singular_on_every_attempt_raises(self):
+        X, y = self.design()
+        stub = StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES)
+        with pytest.raises(SingularMatrixError, match="after 10 resamples"):
+            perturb_once(y, X, PerturbConfig(tol=1.0, positions=(1,)), stub)
+        assert stub.noise == []
+
+    def test_no_resamples_on_regular_draws(self, kg_design, kg_y):
+        assert perturb_n(kg_y, kg_design, PerturbConfig(iterations=20, seed=1)).resamples == 0
+
+
+class TestNoiseScale:
+    @pytest.mark.parametrize("sd", [1e-300, 1e-200, 1e-150, 1e-100, 1.0,
+                                    1e100, 1e150, 1e200, 1e300])
+    def test_achieved_equals_tol_at_any_noise_scale(self, theil_design, theil_y, sd):
+        cfg = PerturbConfig(noise_mean=0.0, noise_sd=sd, iterations=20, seed=2)
+        res = perturb_n(theil_y, theil_design, cfg)
+        assert np.all(np.abs(res.achieved_pct - 1.0) <= 1e-12)
+        assert np.all(res.change_pct > 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_perturb_column_at_extreme_noise_scale(self, scale):
+        x = np.array([3.0, 4.0])
+        xp = perturb_column(x, 0.01, scale * np.array([1.0, -2.0]))
+        assert np.linalg.norm(xp - x) / 5.0 == pytest.approx(0.01, abs=1e-15)

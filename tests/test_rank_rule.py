@@ -145,13 +145,16 @@ class TestFactorOnce:
         assert tall == ["qr"]
 
     def test_perturb_n_fits_the_baseline_once(self, monkeypatch, kg_design, kg_y):
-        calls = []
-        solve = linalg.least_squares
-
-        def counted(X, y):
-            calls.append(X.shape)
-            return solve(X, y)
-
-        monkeypatch.setattr(linalg, "least_squares", counted)
+        # the baseline and every draw are factored once each (7 + 1 n-row
+        # matrices) in stacked numpy calls; no least_squares call per draw
+        n, factored = kg_design.n, []
+        for name in self.NUMPY_LINALG:
+            def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                if np.shape(a)[-2] == n:
+                    factored.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(linalg, "least_squares",
+                            lambda *args: pytest.fail("least_squares called"))
         perturb_n(kg_y, kg_design, PerturbConfig(iterations=7, seed=1))
-        assert len(calls) == 7 + 1
+        assert factored == [1, 7]  # the baseline, then one block of 7 draws
