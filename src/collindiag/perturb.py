@@ -170,42 +170,45 @@ def _draws(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], cfg: Pert
     (beta,), (singular,) = linalg._qr_fit(base[None], k)
     if singular:
         raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
-    x = X.X[:, sel].T
+    del base
     x_norms = np.array([np.linalg.norm(X.X[:, j]) for j in sel])
     base_norm = float(np.linalg.norm(X.X[:, sel]))
     beta_norm = float(np.linalg.norm(beta))
 
-    def block(W):
-        """Perturb, refit and measure every draw of the noise block W (c, s, n)."""
+    def block(c):
+        """Draw, perturb, refit and measure c draws, updating in place so
+        that only the noise and the stacked designs are held at once."""
+        W = rng.normal(cfg.noise_mean, cfg.noise_sd, (c, s, n))
         ratio = x_norms / _noise_norms(W)
         W *= cfg.tol
         W *= ratio[..., None]
+        x = X.X[:, sel].T
         W += x
-        D = (W - x).reshape(len(W), s * n)
-        achieved = 100.0 * np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0, 0] / base_norm
-        A = np.broadcast_to(base, (len(W), n, k + 1)).copy()
+        A = np.empty((c, n, k + 1))
+        A[:, :, :k], A[:, :, k] = X.X, yv
         A[:, :, sel] = W.transpose(0, 2, 1)
+        W -= x
+        W = W.reshape(c, s * n)
+        achieved = 100.0 * np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0, 0] / base_norm
+        del W, x
         beta_p, singular = linalg._qr_fit(A, k)
-        change = 100.0 * np.linalg.norm(beta - beta_p, axis=1) / beta_norm
-        return achieved, change, singular
+        return achieved, 100.0 * np.linalg.norm(beta - beta_p, axis=1) / beta_norm, singular
 
     achieved, change, resamples = np.empty(count), np.empty(count), 0
     size = max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s)))
     for start in range(0, count, size):
         stop = min(start + size, count)
-        a, ch, singular = block(rng.normal(cfg.noise_mean, cfg.noise_sd, (stop - start, s, n)))
-        for i in np.flatnonzero(singular):
+        achieved[start:stop], change[start:stop], singular = block(stop - start)
+        for i in start + np.flatnonzero(singular):
             for attempt in range(1, _MAX_RETRIES + 1):
                 log.warning("perturbed design singular; resampling (attempt %d)", attempt)
                 if attempt == _MAX_RETRIES:
                     raise linalg.SingularMatrixError(
                         f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
                 resamples += 1
-                a[i:i + 1], ch[i:i + 1], again = block(
-                    rng.normal(cfg.noise_mean, cfg.noise_sd, (1, s, n)))
-                if not again[0]:
+                achieved[i:i + 1], change[i:i + 1], (again,) = block(1)
+                if not again:
                     break
-        achieved[start:stop], change[start:stop] = a, ch
     return achieved, change, resamples
 
 
