@@ -174,6 +174,8 @@ def _draws(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], cfg: Pert
     x_norms = np.array([np.linalg.norm(X.X[:, j]) for j in sel])
     base_norm = float(np.linalg.norm(X.X[:, sel]))
     beta_norm = float(np.linalg.norm(beta))
+    if beta_norm == 0.0:
+        raise ValueError("baseline coefficients are all zero: the relative change is undefined")
 
     def block(c):
         """Draw, perturb, refit and measure c draws, updating in place so

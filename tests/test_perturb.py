@@ -120,6 +120,11 @@ class TestPerturbOnce:
             _, change = perturb_once(y, X, PerturbConfig(tol=tol, iterations=1), rng)
             assert change <= 100.0 * cn * tol * 10.0
 
+    def test_zero_baseline_coefficients_rejected(self):
+        X = toy_design()
+        with pytest.raises(ValueError, match="baseline coefficients are all zero"):
+            perturb_once(np.zeros(X.n), X, PerturbConfig(), np.random.default_rng(0))
+
     def test_dummy_position_rejected(self, theil_design, theil_y):
         rng = np.random.default_rng(0)
         cfg = PerturbConfig(positions=(3,))  # position 3 is the dummy
