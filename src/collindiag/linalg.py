@@ -66,6 +66,8 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     unit-scaled R[:k, :k], which has the singular values of X."""
     if A.shape[1] < k:
         raise ValueError(f"need at least as many observations ({A.shape[1]}) as columns ({k})")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
     R = np.linalg.qr(A, mode="r")
     Rk = R[:, :k, :k]
     singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)

@@ -148,8 +148,8 @@ def _noise_norms(R: np.ndarray) -> np.ndarray:
     bad = ~((norms >= 1e-150) & (norms <= 1e150))
     if bad.any():
         peak = np.abs(R[bad]).max(axis=-1, keepdims=True)
-        if not peak.all():
-            raise ValueError("noise vector has zero norm")
+        if not np.all((peak > 0.0) & (peak < np.inf)):
+            raise ValueError("noise vector has a zero or non-finite norm")
         R[bad] /= peak
         norms[bad] = _noise_norms(R[bad])
     return norms
@@ -166,11 +166,9 @@ def _draws(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], cfg: Pert
     if yv.shape != (n,):
         raise ValueError(f"response length {yv.shape} does not match {n} rows")
     sel, s = list(selected), len(selected)
-    base = linalg._as_matrix(np.column_stack([X.X, yv]))
-    (beta,), (singular,) = linalg._qr_fit(base[None], k)
+    (beta,), (singular,) = linalg._qr_fit(np.column_stack([X.X, yv])[None], k)
     if singular:
         raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
-    del base
     x_norms = np.array([np.linalg.norm(X.X[:, j]) for j in sel])
     base_norm = float(np.linalg.norm(X.X[:, sel]))
     beta_norm = float(np.linalg.norm(beta))

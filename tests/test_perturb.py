@@ -322,6 +322,19 @@ class TestNoiseScale:
         assert np.all(np.abs(res.achieved_pct - 1.0) <= 1e-12)
         assert np.all(res.change_pct > 0.0)
 
+    def test_noise_overflowing_to_inf_rejected(self, theil_design, theil_y):
+        cfg = PerturbConfig(noise_mean=0.0, noise_sd=1e308, iterations=20, seed=2)
+        with pytest.raises(ValueError, match="noise vector has a zero or non-finite norm"):
+            perturb_n(theil_y, theil_design, cfg)
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            perturb_column(np.ones(2), 0.01, np.array([np.inf, 1.0]))
+
+    def test_overflowing_perturbed_design_rejected(self, theil_design, theil_y):
+        cfg = PerturbConfig(tol=1e308, iterations=5, seed=1)
+        with pytest.raises(ValueError, match="matrix entries must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            perturb_n(theil_y, theil_design, cfg)
+
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_perturb_column_at_extreme_noise_scale(self, scale):
         x = np.array([3.0, 4.0])
