@@ -72,7 +72,7 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Rk = R[:, :k, :k]
     singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
     ok = np.flatnonzero(~singular)
-    scaled = Rk[ok] / np.sqrt((Rk[ok] * Rk[ok]).sum(axis=1))[:, None, :]
+    scaled = Rk[ok] / np.linalg.norm(Rk[ok], axis=1)[:, None, :]
     singular[ok] = _past_cut(np.linalg.svd(scaled, compute_uv=False), A.shape[1], k)
     ok = np.flatnonzero(~singular)
     beta = np.zeros((len(A), k))
