@@ -184,7 +184,7 @@ def _pearson(T: np.ndarray) -> tuple[np.ndarray, float]:
     det(R) is taken from the small k x k matrix R itself, so it is near 0
     also when n <= k leaves T wide, not square.
     """
-    U = T / np.sqrt((T * T).sum(axis=0))
+    U = T / linalg._norms(T.T)
     R = U.T @ U
     np.fill_diagonal(R, 1.0)
     R = (R + R.T) / 2.0
@@ -318,7 +318,7 @@ def coefficient_of_variation(col) -> float:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a nonempty vector")
     mean = x.mean()
-    sd = x.std()
+    sd = linalg._norms(x - mean) / math.sqrt(x.size)
     if mean == 0.0 or abs(mean) < 1e-12 * sd:
         raise ValueError(CENTERED_CV_MESSAGE)
     return float(sd / abs(mean))

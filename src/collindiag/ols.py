@@ -148,8 +148,6 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     """
     yv = np.asarray(y, dtype=float)
     n, k = X.n, X.k
-    if yv.shape != (n,):
-        raise ValueError(f"response length {yv.shape} does not match {n} rows")
     if not X.intercept_present:
         raise ValueError("an intercept column is required for OLS inference")
     if n <= k:
@@ -167,7 +165,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     sigma2 = rss / df_resid
     sigma = math.sqrt(sigma2)
     R = X.factors
-    se = sigma * np.sqrt(linalg.scaled_inverse_diag(R, n)) / np.linalg.norm(R, axis=0)
+    se = sigma * np.sqrt(linalg.scaled_inverse_diag(R, n)) / linalg._norms(R.T)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),

@@ -94,11 +94,26 @@ def perturb_column(x, tol: float, r) -> np.ndarray:
     rv = np.array(r, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have the same shape")
-    norm_x = float(np.linalg.norm(xv))
-    if norm_x == 0.0:
+    return xv + _scale_noise(rv, tol, xv)
+
+
+def _scale_noise(R: np.ndarray, tol: float, x: np.ndarray) -> np.ndarray:
+    """Scale each noise vector r along the last axis of R, in place, to the
+    perturbation tol * r * (||x|| / ||r||) of its column x (the rows of x)."""
+    x_norms = linalg._norms(x)
+    if not np.all(x_norms > 0.0):
         raise ValueError("cannot perturb a zero column")
-    norm_r = float(_noise_norms(rv[None])[0])  # may rescale rv in place
-    return xv + tol * rv * (norm_x / norm_r)
+    r_norms = linalg._norms(R)
+    if not np.all((r_norms > 0.0) & (r_norms < np.inf)):
+        raise ValueError("noise vector has a zero or non-finite norm")
+    # outside [1e-150, 1e150], tol * r or ||x|| / ||r|| could leave the doubles: make r unit
+    out = ~((r_norms >= 1e-150) & (r_norms <= 1e150))
+    R[out] /= r_norms[out][..., None]
+    r_norms[out] = linalg._norms(R[out])  # exact, also where ||r|| was subnormal
+    with np.errstate(over="ignore"):  # a perturbation past the largest double is inf
+        R *= tol
+        R *= (x_norms / r_norms)[..., None]
+    return R
 
 
 def _selected_columns(X: DesignMatrix, cfg: PerturbConfig) -> tuple[int, ...]:
@@ -134,65 +149,43 @@ def perturb_once(y, X: DesignMatrix, cfg: PerturbConfig,
     columns with the Frobenius norm; change_pct is the relative
     Euclidean displacement of the coefficient vector, in percent.
     """
-    achieved, change, _ = _draws(np.asarray(y, dtype=float), X, _selected_columns(X, cfg),
-                                 cfg, rng, 1)
+    achieved, change, _ = _draws(np.asarray(y, dtype=float), X, cfg, rng, 1)
     return float(achieved[0]), float(change[0])
 
 
-def _noise_norms(R: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of R, bit-equal to np.linalg.norm;
-    rows whose norm would overflow or underflow are first divided, in
-    place, by their largest magnitude."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((R[..., None, :] @ R[..., :, None])[..., 0, 0])
-    bad = ~((norms >= 1e-150) & (norms <= 1e150))
-    if bad.any():
-        peak = np.abs(R[bad]).max(axis=-1, keepdims=True)
-        if not np.all((peak > 0.0) & (peak < np.inf)):
-            raise ValueError("noise vector has a zero or non-finite norm")
-        R[bad] /= peak
-        norms[bad] = _noise_norms(R[bad])
-    return norms
-
-
-def _draws(yv: np.ndarray, X: DesignMatrix, selected: tuple[int, ...], cfg: PerturbConfig,
-           rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.Generator,
+           count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """count draws: (achieved_pct, change_pct, resamples).  Each block of
     about _BLOCK_BYTES takes its noise in one rng.normal call, draw-major
     then column order: the stream of one call per column per draw.  A
     draw failing the singular cut is redrawn after its block's noise, up
     to _MAX_RETRIES attempts in all."""
-    n, k = X.X.shape
+    sel = list(_selected_columns(X, cfg))
+    (n, k), s = X.X.shape, len(sel)
     if yv.shape != (n,):
         raise ValueError(f"response length {yv.shape} does not match {n} rows")
-    sel, s = list(selected), len(selected)
     (beta,), (singular,) = linalg._qr_fit(np.column_stack([X.X, yv])[None], k)
     if singular:
         raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
-    x_norms = np.array([np.linalg.norm(X.X[:, j]) for j in sel])
-    base_norm = float(np.linalg.norm(X.X[:, sel]))
-    beta_norm = float(np.linalg.norm(beta))
+    x = X.X[:, sel].T  # C-ordered: each row is one selected column
+    base_norm = float(linalg._norms(x.reshape(-1)))
+    beta_norm = float(linalg._norms(beta))
     if beta_norm == 0.0:
         raise ValueError("baseline coefficients are all zero: the relative change is undefined")
 
     def block(c):
         """Draw, perturb, refit and measure c draws, updating in place so
         that only the noise and the stacked designs are held at once."""
-        W = rng.normal(cfg.noise_mean, cfg.noise_sd, (c, s, n))
-        ratio = x_norms / _noise_norms(W)
-        W *= cfg.tol
-        W *= ratio[..., None]
-        x = X.X[:, sel].T
+        W = _scale_noise(rng.normal(cfg.noise_mean, cfg.noise_sd, (c, s, n)), cfg.tol, x)
         W += x
         A = np.empty((c, n, k + 1))
         A[:, :, :k], A[:, :, k] = X.X, yv
         A[:, :, sel] = W.transpose(0, 2, 1)
         W -= x
-        W = W.reshape(c, s * n)
-        achieved = 100.0 * np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0, 0] / base_norm
-        del W, x
-        beta_p, singular = linalg._qr_fit(A, k)
-        return achieved, 100.0 * np.linalg.norm(beta - beta_p, axis=1) / beta_norm, singular
+        achieved = 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
+        del W
+        beta_p, singular = linalg._qr_fit(A, k)  # rejects an inf perturbation
+        return achieved, 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
     achieved, change, resamples = np.empty(count), np.empty(count), 0
     size = max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s)))
@@ -232,8 +225,7 @@ def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     per column per draw as long as no draw is resampled.
     """
     rng = np.random.default_rng(cfg.seed)
-    achieved, change, resamples = _draws(np.asarray(y, dtype=float), X,
-                                         _selected_columns(X, cfg), cfg, rng, cfg.iterations)
+    achieved, change, resamples = _draws(np.asarray(y, dtype=float), X, cfg, rng, cfg.iterations)
     return PerturbResult(
         achieved_pct=achieved,
         change_pct=change,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -262,6 +263,16 @@ class TestPerturbCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: position ") and err.count("\n") == 1
+
+    def test_overflowing_design_prints_only_the_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "perturb", "--fixture", "theil", "--tol", "1e308",
+                                 "--iterations", "5", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix entries must be finite\n"
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("flag", ["--tol", "--noise-mean", "--noise-sd"])
     def test_non_finite_setting_is_named(self, capsys, flag):

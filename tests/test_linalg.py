@@ -5,8 +5,10 @@ from numpy.testing import assert_allclose
 from collindiag import (
     DesignMatrix,
     cns,
+    coefficients_of_variation,
     condition_number,
     correlation_matrix,
+    ols_fit,
     stewart_index,
     vif,
 )
@@ -212,6 +214,10 @@ def design_with_correlation(r: float, n: int = 10) -> DesignMatrix:
     return quantitative_design(np.column_stack([u + 3.0, r * u + np.sqrt(1 - r * r) * v - 2.0]))
 
 
+LINE_X = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 5.0]])
+LINE_Y = np.array([1.0, 3.0, 2.0, 4.0])
+
+
 class TestLeastSquares:
     def test_noiseless_recovery(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -242,3 +248,50 @@ class TestLeastSquares:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             least_squares(np.ones((4, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("X, y, match", [
+        (LINE_X, LINE_Y[:3], "response length"),
+        (LINE_X[:1], LINE_Y[:1], "at least as many observations"),
+        (np.where(LINE_X == 2.0, np.nan, LINE_X), LINE_Y, "must be finite"),
+        (LINE_X, np.where(LINE_Y == 2.0, np.inf, LINE_Y), "must be finite"),
+        (np.column_stack([LINE_X, np.zeros(4)]), LINE_Y, "column 2 has zero norm"),
+        (np.column_stack([LINE_X, LINE_X[:, 1]]), LINE_Y, "multicollinearity"),
+    ], ids=["wrong-length", "n<k", "non-finite-X", "non-finite-y", "zero-column",
+            "duplicated-column"])
+    def test_invalid_input_rejected(self, X, y, match):
+        with pytest.raises(ValueError, match=match):
+            least_squares(X, y)
+
+
+class TestScaleInvariance:
+    """Every measure is defined on unit-length columns, so multiplying one
+    regressor by s moves none of them, however large or small s is;
+    beta and se of that regressor scale by 1/s."""
+
+    @staticmethod
+    def measures(X, y):
+        fit, cn = ols_fit(y, X), cns(X)
+        return {
+            "cn": [cn.cn_with, cn.cn_without],
+            "vif": [v for _, v in vif(X)],
+            "k2": stewart_index(X).k2,
+            "det_r": correlation_matrix(X).det_r,
+            "cv": [v for _, v in coefficients_of_variation(X)],
+            "t": fit.t,
+            "p": fit.p,
+        }, fit
+
+    @pytest.mark.parametrize("s", [1e160, 1e-160])
+    def test_one_column_scaled_by_s(self, kg_design, kg_y, s):
+        M = kg_design.X.copy()
+        M[:, 2] *= s
+        scaled = DesignMatrix(M, kg_design.intercept_present, kg_design.quantitative_idx,
+                              kg_design.dummy_idx, kg_design.labels)
+        want, want_fit = self.measures(kg_design, kg_y)
+        got, got_fit = self.measures(scaled, kg_y)
+        for name in want:
+            assert_allclose(got[name], want[name], rtol=1e-10, atol=0, err_msg=name)
+        unscale = np.ones(kg_design.k)
+        unscale[2] = s
+        assert_allclose(got_fit.beta * unscale, want_fit.beta, rtol=1e-10, atol=0)
+        assert_allclose(got_fit.se * unscale, want_fit.se, rtol=1e-10, atol=0)

@@ -322,6 +322,23 @@ class TestNoiseScale:
         assert np.all(np.abs(res.achieved_pct - 1.0) <= 1e-12)
         assert np.all(res.change_pct > 0.0)
 
+    def test_huge_tol_needs_no_redraw(self, theil_design, theil_y, caplog):
+        # the perturbed columns' norms, ~1e163, would overflow a plain sum of squares
+        cfg = PerturbConfig(tol=1e160, iterations=20, seed=1)
+        with caplog.at_level(logging.WARNING, logger="collindiag.perturb"):
+            res = perturb_n(theil_y, theil_design, cfg)
+        assert res.resamples == 0 and caplog.text == ""
+        assert_allclose(res.achieved_pct, 100.0 * cfg.tol, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sd, tol", [(1e-320, 0.01), (5e-307, 0.01), (1e300, 1e10)])
+    def test_extreme_noise_with_any_tol(self, theil_design, theil_y, sd, tol):
+        # a subnormal ||r||, or a tol * r or ||x|| / ||r|| past the doubles
+        cfg = PerturbConfig(tol=tol, noise_mean=0.0, noise_sd=sd, iterations=20, seed=2)
+        res = perturb_n(theil_y, theil_design, cfg)
+        assert_allclose(res.achieved_pct, 100.0 * tol, rtol=1e-12, atol=0)
+        xp = perturb_column(np.array([3.0, 4.0]), tol, sd * np.array([1.0, -2.0]))
+        assert np.linalg.norm(xp - [3.0, 4.0]) / 5.0 == pytest.approx(tol, rel=1e-12)
+
     def test_noise_overflowing_to_inf_rejected(self, theil_design, theil_y):
         cfg = PerturbConfig(noise_mean=0.0, noise_sd=1e308, iterations=20, seed=2)
         with pytest.raises(ValueError, match="noise vector has a zero or non-finite norm"):

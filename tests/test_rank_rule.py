@@ -144,6 +144,22 @@ class TestFactorOnce:
         assert report.vifs is not None and report.stewart is not None
         assert tall == ["qr"]
 
+    def test_least_squares_factors_the_design_once(self, monkeypatch):
+        # one QR of [X | y]; lstsq is never called, on any shape
+        n = 500
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
+        y = X @ np.arange(1.0, 6.0) + rng.normal(size=n)
+        tall = []
+        for name in self.NUMPY_LINALG:
+            def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(a)[-2] == n or _name == "lstsq":
+                    tall.append(_name)
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        least_squares(X, y)
+        assert tall == ["qr"]
+
     def test_perturb_n_fits_the_baseline_once(self, monkeypatch, kg_design, kg_y):
         # the baseline and every draw are factored once each (7 + 1 n-row
         # matrices) in stacked numpy calls; no least_squares call per draw
