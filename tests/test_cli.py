@@ -80,6 +80,66 @@ class TestCsvPath:
         assert code == 2
         assert "nope" in err
 
+    def test_bom_header_is_not_a_label(self, capsys, tmp_path, theil_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + theil_csv.read_text(encoding="utf-8"), encoding="utf-8")
+        code, out, err = run(capsys, "vif", "--data", str(bom), "--response", "consumption",
+                             "--dummy", "twenties")
+        assert (code, out, err) == (2, "", "error: column 'consumption' not present in the CSV header\n")
+
+
+class TestCsvErrors:
+    """The CLI prints each ingest error as one byte-exact line."""
+
+    def error(self, capsys, tmp_path, text, *flags):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "vif", "--data", str(path), *flags)
+        assert (code, out) == (2, "")
+        return str(path), err
+
+    def test_missing_file(self, capsys):
+        _, _, err = run(capsys, "vif", "--data", "/nonexistent/file.csv")
+        assert err == "error: data file not found: /nonexistent/file.csv\n"
+
+    def test_empty_file(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "")
+        assert err == f"error: {path}: no header row (empty file)\n"
+
+    def test_header_only(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "y,a,b\n", "--response", "y")
+        assert err == f"error: {path}: no data rows\n"
+
+    def test_label_not_in_header(self, capsys, tmp_path):
+        _, err = self.error(capsys, tmp_path, "y,a\n1,2\n", "--response", "z")
+        assert err == "error: column 'z' not present in the CSV header\n"
+
+    def test_label_with_two_roles(self, capsys, tmp_path):
+        _, err = self.error(capsys, tmp_path, "y,a\n1,2\n", "--response", "y", "--quant", "y")
+        assert err == "error: column 'y' declared with more than one role\n"
+
+    def test_short_row(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,5\n", "--response", "y")
+        assert err == f"error: {path}:3: expected 3 cells, found 2\n"
+
+    def test_extra_cell_after_last_quant_column(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "y,a,b,c\n1,2,3,4\n5,6,7,8,9\n",
+                               "--response", "y", "--quant", "a", "--quant", "b")
+        assert err == f"error: {path}:3: expected 4 cells, found 5\n"
+
+    def test_non_numeric_cell(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,5,oops\n", "--response", "y")
+        assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
+
+    def test_non_numeric_cell_in_skipped_column_is_ignored(self, capsys, tmp_path):
+        path, err = self.error(capsys, tmp_path, "y,a,b,note\n1,2,3,x\n4,5,oops,\"p,q\"\n",
+                               "--response", "y", "--quant", "a", "--quant", "b")
+        assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
+
+    def test_non_finite_cell(self, capsys, tmp_path):
+        _, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")
+        assert err == "error: column 'a' contains missing or non-finite values\n"
+
 
 class TestReports:
     def test_rdetr_kg_verdict_line(self, capsys):

@@ -91,6 +91,95 @@ class TestLoadCsv:
             load_csv(path, {"a": "quantitative", "d": "dummy"})
 
 
+AB = {"a": "quantitative", "b": "quantitative"}
+
+
+def csv_error(tmp_path, text, roles=AB) -> tuple[str, str]:
+    """The path written and the full message load_csv raises on text."""
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_csv(path, roles)
+    return str(path), str(exc.value)
+
+
+def csv_values(tmp_path, text, roles=AB) -> dict[str, list[float]]:
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    return {c.label: c.values.tolist() for c in load_csv(path, roles).columns}
+
+
+class TestCsvGrammar:
+    """The exact messages and the accepted cell grammar of load_csv."""
+
+    def test_short_row(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n3\n")
+        assert msg == f"{path}:3: expected 2 cells, found 1"
+
+    def test_extra_cell_after_last_used_column(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b,c\n1,2,3\n4,5,6,7\n", {"a": "quantitative"})
+        assert msg == f"{path}:3: expected 3 cells, found 4"
+
+    def test_extra_cell_on_every_row(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2,3\n4,5,6\n")
+        assert msg == f"{path}:2: expected 2 cells, found 3"
+
+    def test_non_numeric_cell(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n3,oops\n")
+        assert msg == f"{path}:3: non-numeric value 'oops' in column 'b'"
+
+    def test_missing_cell(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n3, \n")
+        assert msg == f"{path}:3: missing value in column 'b'"
+
+    def test_first_bad_cell_in_column_order(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,x\n2,3\ny,4\n")
+        assert msg == f"{path}:4: non-numeric value 'y' in column 'a'"
+
+    def test_quoted_numeric_cell(self, tmp_path):
+        assert csv_values(tmp_path, '"a","b"\n"1.5",2\n3," 4 "\n') == {
+            "a": [1.5, 3.0], "b": [2.0, 4.0]}
+
+    def test_padded_cells(self, tmp_path):
+        assert csv_values(tmp_path, " a , b \n 1 ,\t2\n3,4 \n") == {
+            "a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_quoted_comma_in_skipped_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,note,b\n1,"x,y",2\n3,plain,4\n', encoding="utf-8")
+        ds = load_csv(path, AB)
+        assert ds.skipped == ("note",)
+        assert [c.values.tolist() for c in ds.columns] == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_the_column(self, tmp_path, cell):
+        path, msg = csv_error(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        assert msg == "column 'b' contains missing or non-finite values"
+
+    def test_digit_group_underscore_is_read_by_float(self, tmp_path):
+        assert csv_values(tmp_path, "a,b\n1_000,2\n3,4\n")["a"] == [1000.0, 3.0]
+
+    def test_hash_inside_cell_is_not_a_comment(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n2#x,3\n")
+        assert msg == f"{path}:3: non-numeric value '2#x' in column 'a'"
+
+    def test_header_only(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n")
+        assert msg == f"{path}: no data rows"
+
+    def test_blank_line_is_a_short_row(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n\n3,4\n")
+        assert msg == f"{path}:3: expected 2 cells, found 0"
+
+    def test_whitespace_line_is_a_short_row(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n   \n3,4\n")
+        assert msg == f"{path}:3: expected 2 cells, found 1"
+
+    def test_bom_header_label_not_found(self, tmp_path):
+        path, msg = csv_error(tmp_path, "\ufeffa,b\n1,2\n3,4\n")
+        assert msg == f"{path}: labels in roles not present in header: ['a']"
+
+
 class TestDataset:
     def test_kg_fixture_shape(self, kg_dataset):
         assert kg_dataset.n == 14
