@@ -16,23 +16,11 @@ import json
 import os
 import sys
 
-from .dataset import ColumnRole, Dataset, design_matrix, load_csv, response_vector
-from .diagnostics import (
-    DEFAULT_THRESHOLDS,
-    SlmReport,
-    Thresholds,
-    cn_severity,
-    cns,
-    coefficients_of_variation,
-    condition_number,
-    correlation_matrix,
-    multicol,
-    slm,
-    stewart_index,
-    vif,
-)
+from .dataset import Dataset, design_matrix, load_csv, response_vector, roles_from_flags
+from .diagnostics import (DEFAULT_THRESHOLDS, SlmReport, Thresholds, cn_severity, cns,
+                          coefficients_of_variation, condition_number, correlation_matrix,
+                          multicol, slm, stewart_index, vif)
 from .fixtures import FIXTURE_NAMES, fixture
-from .linalg import SingularMatrixError
 from .ols import ols_fit, significance_contradiction
 from .perturb import PerturbConfig, perturb_n
 
@@ -42,10 +30,6 @@ SCHEMA_VERSION = 1
 THRESHOLDS_ENV = "COLLIN_DIAG_THRESHOLDS"
 
 NO_THRESHOLD_NOTE = "NOTE: no established threshold"
-
-
-class CliError(Exception):
-    """Usage or data error; reported on stderr with exit code 2."""
 
 
 def _fmt(v) -> str:
@@ -127,89 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
 # dataset loading
 
 
-def _read_header(path) -> list[str]:
-    import csv
-
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(f"data file not found: {path}") from None
-    with fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise CliError(f"{path}: no header row (empty file)") from None
-    return [h.strip() for h in header]
-
-
-def _roles_from_flags(header: list[str], args) -> dict[str, ColumnRole]:
-    roles: dict[str, ColumnRole] = {}
-
-    def declare(label: str, role: ColumnRole):
-        if label not in header:
-            raise CliError(f"column {label!r} not present in the CSV header")
-        if label in roles:
-            raise CliError(f"column {label!r} declared with more than one role")
-        roles[label] = role
-
-    if args.response:
-        declare(args.response, ColumnRole.RESPONSE)
-    for label in args.dummy:
-        declare(label, ColumnRole.DUMMY)
-    if args.quant:
-        for label in args.quant:
-            declare(label, ColumnRole.QUANTITATIVE)
-    else:
-        for label in header:
-            if label not in roles:
-                roles[label] = ColumnRole.QUANTITATIVE
-    return roles
-
-
 def _load_dataset(args) -> Dataset:
     if bool(args.data) == bool(args.fixture):
-        raise CliError("exactly one of --data or --fixture is required")
-    if args.fixture:
-        if args.response or args.dummy or args.quant:
-            raise CliError("role flags (--response/--dummy/--quant) apply only to --data")
-        ds = fixture(args.fixture)
-        if args.no_intercept:
-            ds = dataclasses.replace(ds, add_intercept=False)
-        return ds
-    header = _read_header(args.data)
-    roles = _roles_from_flags(header, args)
-    return load_csv(args.data, roles, add_intercept=not args.no_intercept)
+        raise ValueError("exactly one of --data or --fixture is required")
+    if args.data:
+        return load_csv(args.data, lambda header: roles_from_flags(
+            header, args.response, args.dummy, args.quant), add_intercept=not args.no_intercept)
+    if args.response or args.dummy or args.quant:
+        raise ValueError("role flags (--response/--dummy/--quant) apply only to --data")
+    return dataclasses.replace(fixture(args.fixture), add_intercept=not args.no_intercept)
 
 
 def _thresholds_from_env() -> Thresholds:
     path = os.environ.get(THRESHOLDS_ENV)
     if not path:
         return DEFAULT_THRESHOLDS
-    valid = {f.name for f in dataclasses.fields(Thresholds)}
-    overrides: dict[str, float] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        return Thresholds.from_file(path)
     except FileNotFoundError:
-        raise CliError(f"{THRESHOLDS_ENV} points to a missing file: {path}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise CliError(f"{path}:{lineno}: expected key=value")
-            if key not in valid:
-                raise CliError(f"{path}:{lineno}: unknown threshold {key!r}")
-            try:
-                overrides[key] = float(value)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: not a number: {value!r}") from None
-    try:
-        return dataclasses.replace(DEFAULT_THRESHOLDS, **overrides)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{THRESHOLDS_ENV} points to a missing file: {path}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +240,7 @@ def _stewart_result(rep):
 
 def _cv_result(entries, th: Thresholds):
     if not entries:
-        raise CliError("no quantitative regressors; nothing to compute a CV for")
+        raise ValueError("no quantitative regressors; nothing to compute a CV for")
     flagged = [(label, v) for label, v in entries if v is not None and v < th.cv_limit]
     result = {"cv": [{"label": label, "value": v, "below_limit": (label, v) in flagged}
                      for label, v in entries],
@@ -462,7 +382,7 @@ def main(argv=None) -> int:
         th = _thresholds_from_env()
         ds = _load_dataset(args)
         result, lines, problematic = COMMANDS[args.command](design_matrix(ds), ds, args, th)
-    except (CliError, ValueError, FileNotFoundError, SingularMatrixError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # usage and data errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

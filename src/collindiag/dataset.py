@@ -8,6 +8,9 @@ package are 0-based.
 """
 
 import csv
+import math
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -20,6 +23,7 @@ __all__ = [
     "Dataset",
     "DesignMatrix",
     "load_csv",
+    "roles_from_flags",
     "design_matrix",
     "response_vector",
 ]
@@ -163,64 +167,108 @@ class DesignMatrix:
         return np.linalg.qr(self.X, mode="r")
 
 
+def roles_from_flags(header, response=None, dummies=(), quants=()) -> dict[str, ColumnRole]:
+    """Column roles as the CLI's flags declare them, checked against the
+    CSV header.  Each label named must be in the header, once; when no
+    quantitative label is named, every other header label is quantitative."""
+    roles: dict[str, ColumnRole] = {}
+    declared = [(response, ColumnRole.RESPONSE)] if response else []
+    declared += [(label, ColumnRole.DUMMY) for label in dummies]
+    declared += [(label, ColumnRole.QUANTITATIVE) for label in quants]
+    for label, role in declared:
+        if label not in header:
+            raise ValueError(f"column {label!r} not present in the CSV header")
+        if label in roles:
+            raise ValueError(f"column {label!r} declared with more than one role")
+        roles[label] = role
+    if not quants:
+        for label in header:
+            roles.setdefault(label, ColumnRole.QUANTITATIVE)
+    return roles
+
+
+# np.loadtxt's float grammar (Python's float() without digit-group
+# underscores or non-ASCII digits), spelled out for the error path
+_NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|inf(inity)?|nan)",
+                     re.IGNORECASE)
+
+
 def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -> Dataset:
     """Load a CSV file into a Dataset.
 
-    roles maps column labels to ColumnRole (or its string value).  Header
-    columns absent from roles are skipped and recorded in
-    Dataset.skipped.  Comma separator, '.' decimal mark, first row is the
-    header, UTF-8; any missing cell is an error, never imputed.
+    roles maps column labels to ColumnRole (or its string value), or is a
+    function of the header returning that map.  Header columns absent
+    from roles are skipped and recorded in Dataset.skipped.  Comma
+    separator, '"' quoting, '.' decimal mark, first row is the header,
+    UTF-8 with or without a byte-order mark.  A cell is a number in
+    numpy's float syntax, optionally quoted and padded with whitespace;
+    no comments.  Blank lines are skipped.  A missing, non-numeric or
+    non-finite cell is an error naming its line and column, never imputed.
     """
-    roles = {label: ColumnRole(role) for label, role in roles.items()}
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"data file not found: {path}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ValueError(f"{path}: no header row (empty file)") from None
-        header = [h.strip() for h in header]
+        roles = {label: ColumnRole(role)
+                 for label, role in (roles(header) if callable(roles) else roles).items()}
         unknown = sorted(set(roles) - set(header))
         if unknown:
             raise ValueError(f"{path}: labels in roles not present in header: {unknown}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-    columns = []
-    skipped = []
-    for j, label in enumerate(header):
-        if label not in roles:
-            skipped.append(label)
-            continue
-        values = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            cell = row[j].strip()
-            if cell == "":
-                raise ValueError(f"{path}:{i + 2}: missing value in column {label!r}")
-            try:
-                values[i] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{i + 2}: non-numeric value {cell!r} in column {label!r}"
-                ) from None
-        columns.append(Column(label, roles[label], values))
+        used = [j for j, label in enumerate(header) if label in roles]
+        skip = {j: lambda cell: 0.0 for j in range(len(header)) if j not in used}
+        try:
+            with warnings.catch_warnings():  # an empty body warns; it is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                  converters=skip)
+            failure = None
+        except ValueError as exc:
+            data, failure = np.empty((0, 0)), exc
+        if not (len(data) and data.shape[1] == len(header) and np.isfinite(data).all()):
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)
+            raise _first_error(rows, path, header, roles, failure)
 
     return Dataset(
         name=name if name is not None else str(path),
-        columns=tuple(columns),
+        columns=tuple(Column(header[j], roles[header[j]], data[:, j]) for j in used),
         add_intercept=add_intercept,
-        skipped=tuple(skipped),
+        skipped=tuple(label for label in header if label not in roles),
     )
+
+
+def _first_error(rows, path, header, roles, failure) -> ValueError:
+    """The error np.loadtxt's failure stands for, found again row by row:
+    the first row of the wrong width, else the first bad cell of the first
+    used column that has one.  Line numbers count blank lines."""
+    kept = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            return ValueError(f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}")
+        kept.append((lineno, row))
+    if not kept:
+        return ValueError(f"{path}: no data rows")
+    for j, label in enumerate(header):
+        if label not in roles:
+            continue
+        cells = [(lineno, row[j].strip()) for lineno, row in kept]
+        for lineno, cell in cells:
+            if cell == "":
+                return ValueError(f"{path}:{lineno}: missing value in column {label!r}")
+            if not _NUMBER.fullmatch(cell):
+                return ValueError(f"{path}:{lineno}: non-numeric value {cell!r} in column {label!r}")
+        for lineno, cell in cells:
+            if not math.isfinite(float(cell)):
+                return ValueError(f"{path}:{lineno}: non-finite value {cell!r} in column {label!r}")
+    return ValueError(f"{path}: {failure or 'rows do not split into the header columns'}")
 
 
 def design_matrix(d: Dataset) -> DesignMatrix:

@@ -81,6 +81,31 @@ class Thresholds:
         if self.cn_moderate >= self.cn_severe:
             raise ValueError("cn_moderate must be below cn_severe")
 
+    @classmethod
+    def from_file(cls, path) -> "Thresholds":
+        """The defaults with the overrides in a file of `name = value`
+        lines, where '#' starts a comment.  Errors name the file and line."""
+        valid = {f.name for f in dataclasses.fields(cls)}
+        overrides: dict[str, float] = {}
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not sep or not key:
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
+                if key not in valid:
+                    raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
+                try:
+                    overrides[key] = float(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a number: {value!r}") from None
+        try:
+            return cls(**overrides)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
     def det_r_threshold(self, n: int, n_quantitative: int) -> float:
         return self.det_r_intercept_a + self.det_r_n_coef * n - self.det_r_k_coef * n_quantitative
 

@@ -155,15 +155,14 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
 
     beta = linalg.least_squares(X.X, yv)
     residuals = yv - X.X @ beta
-    rss = float(residuals @ residuals)
-    centered = yv - yv.mean()
-    tss = float(centered @ centered)
-    if tss == 0.0:
+    # norms, not sums of squares, so a response scaled far from 1 neither
+    # overflows nor underflows; sigma, R^2 and F come from their ratio
+    rnorm, cnorm = linalg._norms(np.stack([residuals, yv - yv.mean()]))
+    if cnorm == 0.0:
         raise ValueError("response is constant; nothing to fit")
 
     df_resid = n - k
-    sigma2 = rss / df_resid
-    sigma = math.sqrt(sigma2)
+    sigma = float(rnorm) / math.sqrt(df_resid)
     R = X.factors
     se = sigma * np.sqrt(linalg.scaled_inverse_diag(R, n)) / linalg._norms(R.T)
 
@@ -175,12 +174,13 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     p = np.array([math.nan if math.isnan(ti)
                   else _betainc(0.5 * df_resid, 0.5, df_resid / (df_resid + ti * ti)) for ti in t])
 
-    r2 = 1.0 - rss / tss
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
-    if rss == 0.0:
+    unexplained = float(rnorm / cnorm) ** 2  # RSS / TSS
+    r2 = 1.0 - unexplained
+    adj_r2 = 1.0 - unexplained * (n - 1) / df_resid
+    if rnorm == 0.0:
         f_stat, f_p = math.inf, 0.0
     else:
-        f_stat = ((tss - rss) / (k - 1)) / (rss / df_resid)
+        f_stat = (r2 / (k - 1)) / (unexplained / df_resid)
         f_p = _betainc(0.5 * df_resid, 0.5 * (k - 1), df_resid / (df_resid + (k - 1) * f_stat))
 
     return OLSFit(

@@ -80,12 +80,30 @@ class TestCsvPath:
         assert code == 2
         assert "nope" in err
 
-    def test_bom_header_is_not_a_label(self, capsys, tmp_path, theil_csv):
+    def test_bom_header_reads_as_without(self, capsys, tmp_path, theil_csv):
         bom = tmp_path / "bom.csv"
         bom.write_text("\ufeff" + theil_csv.read_text(encoding="utf-8"), encoding="utf-8")
-        code, out, err = run(capsys, "vif", "--data", str(bom), "--response", "consumption",
-                             "--dummy", "twenties")
-        assert (code, out, err) == (2, "", "error: column 'consumption' not present in the CSV header\n")
+        flags = ("--response", "consumption", "--dummy", "twenties")
+        plain = run(capsys, "multicol", "--data", str(theil_csv), *flags)
+        assert plain[0] == 0
+        assert run(capsys, "multicol", "--data", str(bom), *flags) == plain
+
+
+    @pytest.mark.parametrize("bad_row", [False, True])
+    def test_data_file_opened_once(self, capsys, monkeypatch, theil_csv, bad_row):
+        if bad_row:
+            theil_csv.write_text(theil_csv.read_text(encoding="utf-8") + "1,2\n", encoding="utf-8")
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        code, _, _ = run(capsys, "multicol", "--data", str(theil_csv),
+                         "--response", "consumption", "--dummy", "twenties")
+        assert code == (2 if bad_row else 0)
+        assert opened.count(str(theil_csv)) == 1
 
 
 class TestCsvErrors:
@@ -137,8 +155,8 @@ class TestCsvErrors:
         assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
 
     def test_non_finite_cell(self, capsys, tmp_path):
-        _, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")
-        assert err == "error: column 'a' contains missing or non-finite values\n"
+        path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")
+        assert err == f"error: {path}:3: non-finite value 'nan' in column 'a'\n"
 
 
 class TestReports:

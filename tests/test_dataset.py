@@ -11,6 +11,7 @@ from collindiag import (
     load_csv,
     response_vector,
 )
+from collindiag.dataset import roles_from_flags
 
 THEIL_ROLES = {
     "consumption": "response",
@@ -152,32 +153,104 @@ class TestCsvGrammar:
         assert [c.values.tolist() for c in ds.columns] == [[1.0, 3.0], [2.0, 4.0]]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
-    def test_non_finite_cell_names_the_column(self, tmp_path, cell):
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         path, msg = csv_error(tmp_path, f"a,b\n1,2\n3,{cell}\n")
-        assert msg == "column 'b' contains missing or non-finite values"
+        assert msg == f"{path}:3: non-finite value '{cell}' in column 'b'"
 
-    def test_digit_group_underscore_is_read_by_float(self, tmp_path):
-        assert csv_values(tmp_path, "a,b\n1_000,2\n3,4\n")["a"] == [1000.0, 3.0]
+    def test_non_finite_cell_after_bad_cells_of_earlier_columns(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,nan\n2,4\nx,5\n")
+        assert msg == f"{path}:4: non-numeric value 'x' in column 'a'"
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "0x10", "1d5"])
+    def test_numbers_outside_numpy_float_syntax_rejected(self, tmp_path, cell):
+        path, msg = csv_error(tmp_path, f"a,b\n{cell},2\n3,4\n")
+        assert msg == f"{path}:2: non-numeric value '{cell}' in column 'a'"
+
+    def test_numbers_read_as_float_reads_them(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        cells = [fmt.format(v) for v in values.tolist()
+                 for fmt in ("{!r}", "{:.17g}", "{:.3e}", "{:f}", "{:.25E}", " {:+.0f} ")]
+        path = tmp_path / "d.csv"
+        path.write_text("a\n" + "\n".join(cells) + "\n", encoding="utf-8")
+        assert_array_equal(load_csv(path, {"a": "quantitative"}).columns[0].values,
+                           [float(cell) for cell in cells])
+
+    @pytest.mark.parametrize("cell", ["+.5", "5.", "-1E-5", "1e+05", "INF", "-Infinity", "nAn",
+                                      "1e", "e5", ".", "+", "1e5.5", "--1", "1.2.3", "infinit",
+                                      "nan(1)", "in f", "1 2", "١", "1_0", "0x1"])
+    def test_error_path_reads_numpy_float_syntax(self, tmp_path, cell):
+        # the 'x' sends load_csv down its row-by-row error path, which must
+        # take exactly the cells np.loadtxt takes
+        path, msg = csv_error(tmp_path, f"a,b\n{cell},2\n3,x\n")
+        try:
+            finite = np.isfinite(np.loadtxt([cell], delimiter=",", comments=None)).all()
+        except ValueError:
+            assert msg == f"{path}:2: non-numeric value '{cell}' in column 'a'"
+            return
+        assert msg == (f"{path}:3: non-numeric value 'x' in column 'b'" if finite
+                       else f"{path}:2: non-finite value '{cell}' in column 'a'")
+
+    def test_numpy_float_syntax(self, tmp_path):
+        assert csv_values(tmp_path, "a,b\n+1.,-.5e-3\n1E+05,.5\n") == {
+            "a": [1.0, 1e5], "b": [-0.0005, 0.5]}
 
     def test_hash_inside_cell_is_not_a_comment(self, tmp_path):
         path, msg = csv_error(tmp_path, "a,b\n1,2\n2#x,3\n")
         assert msg == f"{path}:3: non-numeric value '2#x' in column 'a'"
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n3,4#x\n")
+        assert msg == f"{path}:3: non-numeric value '4#x' in column 'b'"
 
     def test_header_only(self, tmp_path):
         path, msg = csv_error(tmp_path, "a,b\n")
         assert msg == f"{path}: no data rows"
 
-    def test_blank_line_is_a_short_row(self, tmp_path):
-        path, msg = csv_error(tmp_path, "a,b\n1,2\n\n3,4\n")
-        assert msg == f"{path}:3: expected 2 cells, found 0"
+    def test_blank_lines_are_skipped(self, tmp_path):
+        assert csv_values(tmp_path, "a,b\n\n1,2\r\n\r\n3,4\n\n") == {
+            "a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n\n3,oops\n")
+        assert msg == f"{path}:4: non-numeric value 'oops' in column 'b'"
+        path, msg = csv_error(tmp_path, "a,b\n1,2\n\n\n3\n")
+        assert msg == f"{path}:5: expected 2 cells, found 1"
+
+    def test_blank_lines_only(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,b\n\n\n")
+        assert msg == f"{path}: no data rows"
 
     def test_whitespace_line_is_a_short_row(self, tmp_path):
         path, msg = csv_error(tmp_path, "a,b\n1,2\n   \n3,4\n")
         assert msg == f"{path}:3: expected 2 cells, found 1"
 
-    def test_bom_header_label_not_found(self, tmp_path):
-        path, msg = csv_error(tmp_path, "\ufeffa,b\n1,2\n3,4\n")
-        assert msg == f"{path}: labels in roles not present in header: ['a']"
+    def test_bom_header(self, tmp_path):
+        assert csv_values(tmp_path, "\ufeffa,b\n1,2\n3,4\n") == {
+            "a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_old_mac_line_endings(self, tmp_path):
+        assert csv_values(tmp_path, "a,b\r1,2\r3,4\r") == {"a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_roles_from_a_function_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,b\n1,2,3\n4,5,7\n", encoding="utf-8")
+        ds = load_csv(path, lambda header: roles_from_flags(header, "y", quants=["b"]))
+        assert [(c.label, c.role.value) for c in ds.columns] == [
+            ("y", "response"), ("b", "quantitative")]
+        assert ds.skipped == ("a",)
+
+
+class TestRolesFromFlags:
+    def test_every_other_column_quantitative_by_default(self):
+        assert roles_from_flags(["y", "a", "d"], "y", dummies=["d"]) == {
+            "y": "response", "d": "dummy", "a": "quantitative"}
+
+    def test_label_not_in_header(self):
+        with pytest.raises(ValueError, match="^column 'z' not present in the CSV header$"):
+            roles_from_flags(["y", "a"], "z")
+
+    def test_label_with_two_roles(self):
+        with pytest.raises(ValueError, match="^column 'a' declared with more than one role$"):
+            roles_from_flags(["y", "a"], "y", dummies=["a"], quants=["a"])
 
 
 class TestDataset:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestOlsFit:
         fit = ols_fit(theil_y, theil_design)
         assert fit.adj_r2 <= fit.r2
         assert 0.0 <= fit.r2 <= 1.0
+
+    @pytest.mark.parametrize("s", [1e160, 1e-160])
+    def test_response_scaled_far_from_one(self, kg_design, kg_y, s):
+        base = ols_fit(kg_y, kg_design)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ols_fit(kg_y * s, kg_design)
+        for name in ("t", "p", "r2", "adj_r2", "f_stat", "f_p"):
+            assert_allclose(getattr(fit, name), getattr(base, name), rtol=1e-12, err_msg=name)
+        for name in ("beta", "se", "sigma"):
+            assert_allclose(np.asarray(getattr(fit, name)) / s, getattr(base, name),
+                            rtol=1e-12, err_msg=name)
 
     def test_singular_design_rejected(self):
         x = np.arange(1.0, 9.0)
