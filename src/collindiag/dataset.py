@@ -205,7 +205,7 @@ def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -
     no comments.  Blank lines are skipped.  A missing, non-numeric or
     non-finite cell is an error naming its line and column, never imputed.
     """
-    try:
+    try:  # universal newlines: np.loadtxt rejects a bare '\r' line end
         fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"data file not found: {path}") from None

@@ -88,7 +88,6 @@ class TestCsvPath:
         assert plain[0] == 0
         assert run(capsys, "multicol", "--data", str(bom), *flags) == plain
 
-
     @pytest.mark.parametrize("bad_row", [False, True])
     def test_data_file_opened_once(self, capsys, monkeypatch, theil_csv, bad_row):
         if bad_row:
@@ -149,7 +148,7 @@ class TestCsvErrors:
         path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,5,oops\n", "--response", "y")
         assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
 
-    def test_non_numeric_cell_in_skipped_column_is_ignored(self, capsys, tmp_path):
+    def test_quoted_comma_in_skipped_column_keeps_cells_in_place(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "y,a,b,note\n1,2,3,x\n4,5,oops,\"p,q\"\n",
                                "--response", "y", "--quant", "a", "--quant", "b")
         assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
