@@ -382,8 +382,9 @@ def main(argv=None) -> int:
         th = _thresholds_from_env()
         ds = _load_dataset(args)
         result, lines, problematic = COMMANDS[args.command](design_matrix(ds), ds, args, th)
-    except (ValueError, FileNotFoundError) as exc:  # usage and data errors
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # usage and data errors, unreadable files
+        reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
     if args.format == "json":

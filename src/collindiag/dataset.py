@@ -162,9 +162,16 @@ class DesignMatrix:
         X[:, cols] = Q R[:, cols] with Q orthonormal, so every column
         block of R has the singular values, column norms and cross
         products of the same block of X.  Caching is safe because X is
-        a read-only copy.
+        a read-only copy; so is R.
         """
-        return np.linalg.qr(self.X, mode="r")
+        R = np.linalg.qr(self.X, mode="r")
+        R.flags.writeable = False
+        return R
+
+    @cached_property
+    def _shared(self) -> dict:
+        """Read-only intermediates the measures derive from factors (diagnostics._once)."""
+        return {}
 
 
 def roles_from_flags(header, response=None, dummies=(), quants=()) -> dict[str, ColumnRole]:
@@ -209,31 +216,36 @@ def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -
         fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"data file not found: {path}") from None
-    with fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise ValueError(f"{path}: no header row (empty file)") from None
-        roles = {label: ColumnRole(role)
-                 for label, role in (roles(header) if callable(roles) else roles).items()}
-        unknown = sorted(set(roles) - set(header))
-        if unknown:
-            raise ValueError(f"{path}: labels in roles not present in header: {unknown}")
-        used = [j for j, label in enumerate(header) if label in roles]
-        skip = {j: lambda cell: 0.0 for j in range(len(header)) if j not in used}
-        try:
-            with warnings.catch_warnings():  # an empty body warns; it is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                                  converters=skip)
-            failure = None
-        except ValueError as exc:
-            data, failure = np.empty((0, 0)), exc
-        if not (len(data) and data.shape[1] == len(header) and np.isfinite(data).all()):
-            fh.seek(0)
-            rows = csv.reader(fh)
-            next(rows)
-            raise _first_error(rows, path, header, roles, failure)
+    try:
+        with fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise ValueError(f"{path}: no header row (empty file)") from None
+            roles = {label: ColumnRole(role)
+                     for label, role in (roles(header) if callable(roles) else roles).items()}
+            unknown = sorted(set(roles) - set(header))
+            if unknown:
+                raise ValueError(f"{path}: labels in roles not present in header: {unknown}")
+            used = [j for j, label in enumerate(header) if label in roles]
+            skip = {j: lambda cell: 0.0 for j in range(len(header)) if j not in used}
+            try:
+                with warnings.catch_warnings():  # an empty body warns; it is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                      converters=skip)
+                failure = None
+            except ValueError as exc:
+                data, failure = np.empty((0, 0)), exc
+            if not (len(data) and data.shape[1] == len(header) and np.isfinite(data).all()):
+                fh.seek(0)
+                rows = csv.reader(fh)
+                next(rows)
+                raise _first_error(rows, path, header, roles, failure)
+    except UnicodeDecodeError:  # find its line: surrogateescape reads a bad byte as U+DC80-DCFF
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            lineno = next(i for i, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
 
     return Dataset(
         name=name if name is not None else str(path),
@@ -285,26 +297,14 @@ def design_matrix(d: Dataset) -> DesignMatrix:
         if c.role is ColumnRole.QUANTITATIVE and np.ptp(c.values) == 0.0:
             raise ValueError(f"quantitative column {c.label!r} has zero variance")
 
-    cols = []
-    labels = []
-    quant = []
-    dummy = []
-    offset = 0
-    if d.add_intercept:
-        cols.append(np.ones(d.n))
-        labels.append("intercept")
-        offset = 1
-    for i, c in enumerate(regressors):
-        cols.append(c.values)
-        labels.append(c.label)
-        (quant if c.role is ColumnRole.QUANTITATIVE else dummy).append(offset + i)
-
+    start = int(d.add_intercept)  # regressors follow the intercept column, if any
     return DesignMatrix(
-        X=np.column_stack(cols),
+        X=np.column_stack([np.ones(d.n)] * start + [c.values for c in regressors]),
         intercept_present=d.add_intercept,
-        quantitative_idx=tuple(quant),
-        dummy_idx=tuple(dummy),
-        labels=tuple(labels),
+        quantitative_idx=tuple(start + i for i, c in enumerate(regressors)
+                               if c.role is ColumnRole.QUANTITATIVE),
+        dummy_idx=tuple(start + i for i, c in enumerate(regressors) if c.role is ColumnRole.DUMMY),
+        labels=("intercept",) * start + tuple(c.label for c in regressors),
     )
 
 

@@ -183,6 +183,39 @@ class DiagnosticsReport:
     notes: dict[str, str]
 
 
+def _once(fn):
+    """fn(X, *args), computed once per design and kept read-only in
+    X._shared.  An exception is not kept: the next call raises it again."""
+    def shared(X: DesignMatrix, *args):
+        key = (fn.__name__, *args)
+        if key not in X._shared:
+            value = fn(X, *args)
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            X._shared[key] = value
+        return X._shared[key]
+    return shared
+
+
+@_once
+def _block_svd(X: DesignMatrix, cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled SVD (s, Vt) of the columns cols of X.factors, past the cut."""
+    return linalg.scaled_svd(X.factors.take(cols, axis=1), X.n)
+
+
+def _intercept_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
+    return (0, *X.quantitative_idx) if X.intercept_present else X.quantitative_idx
+
+
+def _quant_rows(X: DesignMatrix):
+    """Quantitative columns as contiguous rows, so means sum as a column's would; ~1 MiB a block."""
+    quant = list(X.quantitative_idx)
+    step = max(1, (1 << 20) // (8 * X.n))
+    for i in range(0, len(quant), step):
+        yield X.X.T[quant[i:i + step]]
+
+
+@_once
 def _centered_factor(X: DesignMatrix) -> np.ndarray:
     """Triangular T with T'T = C'C, C the centered quantitative block.
 
@@ -193,13 +226,13 @@ def _centered_factor(X: DesignMatrix) -> np.ndarray:
     A zero-variance column has no correlation with anything and is
     rejected by name.
     """
-    quant = list(X.quantitative_idx)
-    for i in quant:
-        if np.ptp(X.X[:, i]) == 0.0:
-            raise ValueError(f"quantitative column {X.labels[i]!r} has zero variance")
+    ptp = np.concatenate([np.ptp(rows, axis=1) for rows in _quant_rows(X)])
+    if not ptp.all():  # the first zero is the first minimum
+        label = X.quantitative_labels[ptp.argmin()]
+        raise ValueError(f"quantitative column {label!r} has zero variance")
     if X.intercept_present:
-        return np.linalg.qr(X.factors[:, [0] + quant], mode="r")[1:, 1:]
-    Q = X.X[:, quant]
+        return np.linalg.qr(X.factors.take(_intercept_quant_cols(X), axis=1), mode="r")[1:, 1:]
+    Q = X.X[:, list(X.quantitative_idx)]
     return np.linalg.qr(Q - Q.mean(axis=0), mode="r")
 
 
@@ -249,25 +282,29 @@ def vif(X: DesignMatrix) -> tuple[tuple[str, float], ...]:
     """Variance inflation factors: diagonal of the inverted correlation
     matrix of the quantitative regressors, from the SVD of the
     unit-scaled centered block."""
-    labels = X.quantitative_labels
-    if len(labels) < 2:
+    if len(X.quantitative_idx) < 2:
         raise ValueError(NEED_TWO_QUANTITATIVE)
+    return tuple(zip(X.quantitative_labels, _vifs(X).tolist()))
+
+
+@_once
+def _vifs(X: DesignMatrix) -> np.ndarray:
     T = _centered_factor(X)
     try:
         if X.intercept_present:
             # T comes from [1, Q] by orthogonal steps, so it is only as
             # accurate as that block is well conditioned
-            linalg.scaled_svd(X.factors[:, [0, *X.quantitative_idx]], X.n)
-        values = linalg.scaled_inverse_diag(T, X.n)
+            _block_svd(X, _intercept_quant_cols(X))
+        return linalg.scaled_inverse_diag(T, X.n)
     except linalg.SingularMatrixError:
-        R, _ = _pearson(T)
-        i, j = np.triu_indices(len(labels), 1)
-        w = int(np.argmax(np.abs(R[i, j])))
-        raise linalg.SingularMatrixError(
-            f"correlation matrix is numerically singular; "
-            f"worst pair {labels[i[w]]!r}, {labels[j[w]]!r} with r = {R[i[w], j[w]]:.7g}"
-        ) from None
-    return tuple(zip(labels, values.tolist()))
+        pass  # raised again below, naming the worst pair, with no chained traceback
+    labels = X.quantitative_labels
+    R, _ = _pearson(T)
+    i, j = np.triu_indices(len(labels), 1)
+    w = int(np.argmax(np.abs(R[i, j])))
+    raise linalg.SingularMatrixError(
+        f"correlation matrix is numerically singular; "
+        f"worst pair {labels[i[w]]!r}, {labels[j[w]]!r} with r = {R[i[w], j[w]]:.7g}")
 
 
 def condition_number(X: DesignMatrix, include_intercept: bool = True) -> float:
@@ -277,12 +314,10 @@ def condition_number(X: DesignMatrix, include_intercept: bool = True) -> float:
     Dummy columns are included.  include_intercept=False drops the
     intercept column before scaling.
     """
-    R = X.factors
-    if not include_intercept and X.intercept_present:
-        R = R[:, 1:]
-    if R.shape[1] == 0:
+    cols = tuple(range(X.k)) if include_intercept else X.non_intercept_idx
+    if not cols:
         raise ValueError("no columns left for the condition number")
-    s, _ = linalg.scaled_svd(R, X.n)
+    s, _ = _block_svd(X, cols)
     return float(s[0] / s[-1])
 
 
@@ -321,16 +356,13 @@ def stewart_index(X: DesignMatrix) -> StewartReport:
     q_labels = X.quantitative_labels
     if len(q_labels) < 1:
         raise ValueError(NEED_ONE_QUANTITATIVE)
-    cols, labels = list(X.quantitative_idx), q_labels
-    if X.intercept_present:
-        cols, labels = [0] + cols, ("intercept",) + labels
-    k2 = linalg.scaled_inverse_diag(X.factors[:, cols], X.n)
+    labels = ("intercept",) + q_labels if X.intercept_present else q_labels
+    k2 = linalg._inverse_diag(*_block_svd(X, _intercept_quant_cols(X)))
 
     essential = nonessential = None
     if len(q_labels) >= 2:
-        vifs = np.array([v for _, v in vif(X)])
         quant_k2 = k2[1:] if X.intercept_present else k2
-        essential = 100.0 * vifs / quant_k2
+        essential = 100.0 * _vifs(X) / quant_k2
         nonessential = 100.0 - essential
     return StewartReport(labels=labels, k2=k2, essential_pct=essential, nonessential_pct=nonessential)
 
@@ -342,24 +374,28 @@ def coefficient_of_variation(col) -> float:
     x = np.asarray(col, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a nonempty vector")
-    mean = x.mean()
-    sd = linalg._norms(x - mean) / math.sqrt(x.size)
-    if mean == 0.0 or abs(mean) < 1e-12 * sd:
+    (cv,), (centered,) = _cvs(x[None].copy())
+    if centered:
         raise ValueError(CENTERED_CV_MESSAGE)
-    return float(sd / abs(mean))
+    return float(cv)
+
+
+def _cvs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient of variation of each row of rows, which it overwrites,
+    and whether the row is centered (its CV is then meaningless)."""
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    sd = linalg._norms(rows) / math.sqrt(rows.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sd / np.abs(mean), (mean == 0.0) | (np.abs(mean) < 1e-12 * sd)
 
 
 def coefficients_of_variation(X: DesignMatrix) -> tuple[tuple[str, float | None], ...]:
     """(label, coefficient of variation) for each quantitative regressor
     of X, in column order; None for a centered regressor, whose CV is
     undefined."""
-    entries = []
-    for i in X.quantitative_idx:
-        try:
-            entries.append((X.labels[i], coefficient_of_variation(X.X[:, i])))
-        except ValueError:
-            entries.append((X.labels[i], None))
-    return tuple(entries)
+    cvs = [(float(v), c) for rows in _quant_rows(X) for v, c in zip(*_cvs(rows))]
+    return tuple((label, None if c else v) for label, (v, c) in zip(X.quantitative_labels, cvs))
 
 
 def proportion_of_ones(col) -> float:
@@ -407,48 +443,27 @@ def multicol(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS):
     if X.k == 2 and X.intercept_present:
         return slm(X, thresholds)
 
-    notes: dict[str, str] = {}
+    q = len(X.quantitative_idx)
+    needs = {  # section: (its note when X lacks the columns it needs, whether X has them)
+        "cv": (NEED_ONE_QUANTITATIVE, q >= 1),
+        "dummy_pct": (NEED_ONE_DUMMY, bool(X.dummy_idx)),
+        "correlation": (NEED_TWO_QUANTITATIVE, q >= 2),
+        "vif": (NEED_TWO_QUANTITATIVE, q >= 2),
+        "cn": (NEED_INTERCEPT, X.intercept_present),
+        "stewart": (NEED_ONE_QUANTITATIVE, q >= 1),
+    }
+    notes = {key: note for key, (note, applies) in needs.items() if not applies}
 
-    cv_entries = None
-    if X.quantitative_idx:
-        cv_entries = coefficients_of_variation(X)
-    else:
-        notes["cv"] = NEED_ONE_QUANTITATIVE
+    def section(key, compute):
+        return None if key in notes else compute()
 
-    dummy_entries = None
-    if X.dummy_idx:
-        dummy_entries = tuple(
-            (X.labels[i], proportion_of_ones(X.X[:, i])) for i in X.dummy_idx
-        )
-    else:
-        notes["dummy_pct"] = NEED_ONE_DUMMY
-
-    correlation = vifs = None
-    if len(X.quantitative_idx) >= 2:
-        correlation = correlation_matrix(X, thresholds)
-        vifs = vif(X)
-    else:
-        notes["correlation"] = NEED_TWO_QUANTITATIVE
-        notes["vif"] = NEED_TWO_QUANTITATIVE
-
-    cn_report = None
-    if X.intercept_present:
-        cn_report = cns(X)
-    else:
-        notes["cn"] = NEED_INTERCEPT
-
-    stewart = None
-    if X.quantitative_idx:
-        stewart = stewart_index(X)
-    else:
-        notes["stewart"] = NEED_ONE_QUANTITATIVE
-
-    return DiagnosticsReport(
-        cv=cv_entries,
-        dummy_pct=dummy_entries,
-        correlation=correlation,
-        vifs=vifs,
-        cn=cn_report,
-        stewart=stewart,
+    return DiagnosticsReport(  # computed in this order, so the same error is raised first
+        cv=section("cv", lambda: coefficients_of_variation(X)),
+        dummy_pct=section("dummy_pct", lambda: tuple(
+            (X.labels[i], proportion_of_ones(X.X[:, i])) for i in X.dummy_idx)),
+        correlation=section("correlation", lambda: correlation_matrix(X, thresholds)),
+        vifs=section("vif", lambda: vif(X)),
+        cn=section("cn", lambda: cns(X)),
+        stewart=section("stewart", lambda: stewart_index(X)),
         notes=notes,
     )

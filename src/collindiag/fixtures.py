@@ -7,7 +7,7 @@ with income and relative price, and aggregate consumption with three
 income components.
 """
 
-from .dataset import ColumnRole, Column, Dataset
+from .dataset import Column, Dataset
 
 __all__ = ["fixture", "FIXTURE_NAMES"]
 
@@ -51,46 +51,24 @@ _KG_ROWS = (
 )
 
 
-def _column(rows, j, label, role):
-    return Column(label, role, [row[j] for row in rows])
-
-
-def _theil() -> Dataset:
-    return Dataset(
-        name="theil",
-        columns=(
-            _column(_THEIL_ROWS, 1, "consumption", ColumnRole.RESPONSE),
-            _column(_THEIL_ROWS, 2, "income", ColumnRole.QUANTITATIVE),
-            _column(_THEIL_ROWS, 3, "relprice", ColumnRole.QUANTITATIVE),
-            _column(_THEIL_ROWS, 4, "twenties", ColumnRole.DUMMY),
-        ),
-        skipped=("year",),
-    )
-
-
-def _kg() -> Dataset:
-    return Dataset(
-        name="kg",
-        columns=(
-            _column(_KG_ROWS, 1, "consumption", ColumnRole.RESPONSE),
-            _column(_KG_ROWS, 2, "wage_income", ColumnRole.QUANTITATIVE),
-            _column(_KG_ROWS, 3, "nonfarm_income", ColumnRole.QUANTITATIVE),
-            _column(_KG_ROWS, 4, "farm_income", ColumnRole.QUANTITATIVE),
-        ),
-        skipped=("year",),
-    )
-
-
-_FIXTURES = {"theil": _theil, "kg": _kg}
+# name: (rows, label and role of each column after the year)
+_FIXTURES = {
+    "theil": (_THEIL_ROWS, (("consumption", "response"), ("income", "quantitative"),
+                            ("relprice", "quantitative"), ("twenties", "dummy"))),
+    "kg": (_KG_ROWS, (("consumption", "response"), ("wage_income", "quantitative"),
+                      ("nonfarm_income", "quantitative"), ("farm_income", "quantitative"))),
+}
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
 
 def fixture(name: str) -> Dataset:
     """Return a built-in dataset by name ('theil' or 'kg')."""
     try:
-        build = _FIXTURES[name]
+        rows, columns = _FIXTURES[name]
     except KeyError:
         raise ValueError(
             f"unknown fixture {name!r}; valid names: {', '.join(FIXTURE_NAMES)}"
         ) from None
-    return build()
+    return Dataset(name=name, skipped=("year",), columns=tuple(
+        Column(label, role, [row[j] for row in rows])
+        for j, (label, role) in enumerate(columns, start=1)))

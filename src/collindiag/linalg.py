@@ -88,10 +88,9 @@ def unit_length_scale(M) -> np.ndarray:
     A = _as_matrix(M)
     _check_finite(A)
     norms = _norms(A.T)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
+    if not norms.all():  # the first zero norm is the first minimum
         raise SingularMatrixError(
-            f"column {zero[0]} has zero norm and cannot be scaled to unit length")
+            f"column {norms.argmin()} has zero norm and cannot be scaled to unit length")
     return A / norms
 
 
@@ -112,23 +111,35 @@ def scaled_inverse_diag(A, n: int) -> np.ndarray:
     For an intercept-plus-regressors block these are Stewart's k_i^2; for
     a centered block they are the VIFs.
     """
-    s, vt = scaled_svd(A, n)
+    return _inverse_diag(*scaled_svd(A, n))
+
+
+def _inverse_diag(s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Diagonal of (B'B)^-1 from the singular values and Vt of B."""
     return ((vt / s[:, None]) ** 2).sum(axis=0)
 
 
-def least_squares(X, y) -> np.ndarray:
-    """Least squares coefficients minimizing ||y - X b||.
-
-    Solved from one QR of [X | y]; X and y must be finite, and a design
-    failing the singular cut raises SingularMatrixError.
-    """
+def _fit(X, y) -> tuple[np.ndarray, float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Least squares of y on the n x k matrix X from one QR of [X | y]: the coefficients,
+    the residual norm |R[k, k]|, X's R (the leading k x k block) and its scaled SVD
+    (s, Vt), which passed the singular cut.  X and y must be finite."""
     A = _as_matrix(X)
-    b = np.asarray(y, dtype=float)
     n, k = A.shape
-    if b.shape != (n,):
-        raise ValueError(f"response length {b.shape} does not match {n} rows")
-    (beta,), (singular,) = _qr_fit(np.column_stack([A, b])[None], k)
-    if singular:
-        unit_length_scale(A)  # raises the message naming a zero column, if any
-        raise SingularMatrixError(SINGULAR_MESSAGE)
-    return beta
+    if np.shape(y) != (n,):
+        raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
+    if n < k:
+        raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
+    Ab = np.column_stack([A, y])
+    _check_finite(Ab)
+    R = np.linalg.qr(Ab, mode="r")
+    Rk = R[:k, :k]
+    svd = scaled_svd(Rk, n)  # names a zero column, if any
+    beta = np.linalg.solve(Rk, R[:k, k])  # LU of a triangular matrix: back substitution
+    return beta, (float(abs(R[k, k])) if n > k else 0.0), Rk, svd
+
+
+def least_squares(X, y) -> np.ndarray:
+    """Least squares coefficients minimizing ||y - X b||, from one QR of
+    [X | y]; X and y must be finite, and a design failing the singular
+    cut raises SingularMatrixError."""
+    return _fit(X, y)[0]

@@ -153,18 +153,17 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     if n <= k:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
 
-    beta = linalg.least_squares(X.X, yv)
+    beta, rnorm, R, (s, vt) = linalg._fit(X.X, yv)
     residuals = yv - X.X @ beta
     # norms, not sums of squares, so a response scaled far from 1 neither
     # overflows nor underflows; sigma, R^2 and F come from their ratio
-    rnorm, cnorm = linalg._norms(np.stack([residuals, yv - yv.mean()]))
+    cnorm = float(linalg._norms(yv - yv.mean()))
     if cnorm == 0.0:
         raise ValueError("response is constant; nothing to fit")
 
     df_resid = n - k
-    sigma = float(rnorm) / math.sqrt(df_resid)
-    R = X.factors
-    se = sigma * np.sqrt(linalg.scaled_inverse_diag(R, n)) / linalg._norms(R.T)
+    sigma = rnorm / math.sqrt(df_resid)
+    se = sigma * np.sqrt(linalg._inverse_diag(s, vt)) / linalg._norms(R.T)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),

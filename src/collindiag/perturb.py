@@ -162,11 +162,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     to _MAX_RETRIES attempts in all."""
     sel = list(_selected_columns(X, cfg))
     (n, k), s = X.X.shape, len(sel)
-    if yv.shape != (n,):
-        raise ValueError(f"response length {yv.shape} does not match {n} rows")
-    (beta,), (singular,) = linalg._qr_fit(np.column_stack([X.X, yv])[None], k)
-    if singular:
-        raise linalg.SingularMatrixError(linalg.SINGULAR_MESSAGE)
+    beta = linalg._fit(X.X, yv)[0]
     x = X.X[:, sel].T  # C-ordered: each row is one selected column
     base_norm = float(linalg._norms(x.reshape(-1)))
     beta_norm = float(linalg._norms(beta))

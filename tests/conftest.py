@@ -79,3 +79,15 @@ def random_design(rng: np.random.Generator, n_quant=None, n=None, with_dummy=Fal
     X = np.column_stack([np.ones(n)] + cols)
     return DesignMatrix(X=X, intercept_present=True, quantitative_idx=quant,
                         dummy_idx=dummy, labels=tuple(labels))
+
+
+def count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Record (name, shape of the argument) for every np.linalg.qr and
+    np.linalg.svd call from now on."""
+    calls = []
+    for name in ("qr", "svd"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import pytest
@@ -118,6 +119,37 @@ class TestCsvErrors:
     def test_missing_file(self, capsys):
         _, _, err = run(capsys, "vif", "--data", "/nonexistent/file.csv")
         assert err == "error: data file not found: /nonexistent/file.csv\n"
+
+    def test_directory(self, capsys, tmp_path):
+        _, out, err = run(capsys, "vif", "--data", str(tmp_path))
+        assert out == "" and err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="the superuser reads a file without read permission")
+    def test_unreadable_file(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a\n1,2\n", encoding="utf-8")
+        path.chmod(0)
+        code, out, err = run(capsys, "vif", "--data", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: Permission denied\n")
+
+    def test_unreadable_thresholds_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(THRESHOLDS_ENV, str(tmp_path))
+        code, out, err = run(capsys, "vif", "--fixture", "kg")
+        assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("data, lineno", [
+        (b"y,a,b\n1,2,3\n4,\xff5,6\n", 3),
+        (b"y,a\xff,b\n1,2,3\n", 1),
+        (b"y,a,b\r\n1,2,3\r\n\r\n4,5,6\r\n7,8,\xc3", 5),  # blank lines count; cut-off sequence
+        (b"y,a,b,note\n1,2,3,caf\xe9\n", 2),  # in a skipped column too
+    ])
+    def test_not_utf8(self, capsys, tmp_path, data, lineno):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "vif", "--data", str(path), "--response", "y",
+                             "--quant", "a", "--quant", "b")
+        assert (code, out, err) == (2, "", f"error: {path}:{lineno}: not valid UTF-8\n")
 
     def test_empty_file(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "")

@@ -18,6 +18,7 @@ from collindiag import (
     coefficients_of_variation,
     condition_number,
     correlation_matrix,
+    design_matrix,
     multicol,
     proportion_of_ones,
     slm,
@@ -31,7 +32,7 @@ from collindiag.diagnostics import (
     SLM_NEEDS_TWO_COLUMNS,
 )
 
-from conftest import random_design
+from conftest import count_factorizations, random_design
 
 
 def orthogonal_design(n=8, shift=0.0):
@@ -363,8 +364,10 @@ class TestSlm:
 
 
 class TestMulticol:
-    def test_theil_bundle_matches_individual_measures(self, theil_design):
-        report = multicol(theil_design)
+    def test_theil_bundle_matches_individual_measures(self, theil_dataset):
+        # each measure alone on a design of its own, which shares nothing
+        # with the bundle's design
+        report, theil_design = multicol(design_matrix(theil_dataset)), design_matrix(theil_dataset)
         assert isinstance(report, DiagnosticsReport)
         assert report.cv == tuple(
             (theil_design.labels[i], coefficient_of_variation(theil_design.X[:, i]))
@@ -407,3 +410,49 @@ class TestMulticol:
         assert report.stewart is None
         assert report.dummy_pct is not None
         assert report.cn is not None
+
+
+class TestSharedFactors:
+    """Each design is factored once; the measures share the factors."""
+
+    def test_multicol_on_kg(self, monkeypatch, kg_dataset):
+        X = design_matrix(kg_dataset)
+        calls = count_factorizations(monkeypatch)
+        multicol(X)
+        assert [shape for name, shape in calls if shape[0] == X.n] == [(X.n, X.k)]
+        assert calls[0] == ("qr", (X.n, X.k))
+        assert sum(name == "svd" for name, _ in calls) <= 3
+        calls.clear()
+        multicol(X)
+        assert calls == []
+
+    def test_cached_arrays_are_read_only(self, theil_dataset):
+        X = design_matrix(theil_dataset)
+        multicol(X)
+        kept = [X.factors] + [a for value in X._shared.values()
+                              for a in (value if isinstance(value, tuple) else (value,))]
+        assert len(kept) == 9  # R, three (s, Vt) pairs, T and the VIFs
+        assert not any(a.flags.writeable for a in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            X.factors[0, 0] = 0.0
+
+    def test_results_are_not_the_cached_arrays(self, theil_dataset):
+        X = design_matrix(theil_dataset)
+        report = multicol(X)
+        report.stewart.k2[0] = report.correlation.r[0, 0] = -1.0
+        assert multicol(X).stewart.k2[0] > 0.0 and multicol(X).correlation.r[0, 0] == 1.0
+
+    def test_singular_error_is_raised_again(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=12)
+        X = DesignMatrix(X=np.column_stack([np.ones(12), x, 2.0 * x, rng.normal(size=12)]),
+                         intercept_present=True, quantitative_idx=(1, 2, 3), dummy_idx=(),
+                         labels=("intercept", "a", "b", "c"))
+        for measure in (vif, stewart_index, cns, multicol, vif):
+            with pytest.raises(SingularMatrixError) as first:
+                measure(X)
+            with pytest.raises(SingularMatrixError) as again:
+                measure(X)
+            assert str(again.value) == str(first.value)
+        assert "'a', 'b'" in str(first.value)
+        assert not any(key[0] in ("_block_svd", "_vifs") for key in X._shared)

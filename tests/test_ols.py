@@ -8,11 +8,15 @@ from numpy.testing import assert_allclose
 from collindiag import (
     DesignMatrix,
     SingularMatrixError,
+    design_matrix,
     f_cdf,
     ols_fit,
     significance_contradiction,
     t_cdf,
 )
+from collindiag import linalg
+
+from conftest import count_factorizations
 
 # frozen reference values for the CDFs, independent implementation
 T_CDF_ANCHORS = (
@@ -137,8 +141,9 @@ class TestOlsFit:
         x = np.arange(1.0, 8.0)
         X = DesignMatrix(X=np.column_stack([np.ones(7), x]), intercept_present=True,
                          quantitative_idx=(1,), dummy_idx=(), labels=("intercept", "x"))
-        monkeypatch.setattr("collindiag.ols.linalg.least_squares",
-                            lambda A, y: np.array([0.0, 3.0]))
+        fit_once = linalg._fit  # its beta and residual norm replaced, its factors kept
+        monkeypatch.setattr("collindiag.ols.linalg._fit",
+                            lambda A, y: (np.array([0.0, 3.0]), 0.0, *fit_once(A, y)[2:]))
         fit = ols_fit(3.0 * x, X)
         assert fit.sigma == 0.0
         assert math.isnan(fit.t[0]) and math.isnan(fit.p[0])
@@ -174,6 +179,13 @@ class TestOlsFit:
                          labels=("intercept", "a", "b"))
         with pytest.raises(SingularMatrixError):
             ols_fit(x, X)
+
+    def test_one_qr_of_x_and_y_and_one_svd(self, monkeypatch, kg_dataset, kg_y):
+        X = design_matrix(kg_dataset)
+        calls = count_factorizations(monkeypatch)
+        ols_fit(kg_y, X)
+        assert calls == [("qr", (X.n, X.k + 1)), ("svd", (X.k, X.k))]
+        assert "factors" not in vars(X)  # X alone is never factored
 
     def test_needs_more_rows_than_columns(self):
         X = DesignMatrix(X=np.column_stack([np.ones(2), [1.0, 2.0]]),
