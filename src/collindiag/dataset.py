@@ -242,10 +242,8 @@ def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -
                 rows = csv.reader(fh)
                 next(rows)
                 raise _first_error(rows, path, header, roles, failure)
-    except UnicodeDecodeError:  # find its line: surrogateescape reads a bad byte as U+DC80-DCFF
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            lineno = next(i for i, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
-        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, "utf-8-sig") from None
 
     return Dataset(
         name=name if name is not None else str(path),
@@ -253,6 +251,15 @@ def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -
         add_intercept=add_intercept,
         skipped=tuple(label for label in header if label not in roles),
     )
+
+
+def _not_utf8(path, encoding: str) -> ValueError:
+    """The error for a text file that failed to decode as encoding (a UTF-8
+    codec), naming the first line with a bad byte: surrogateescape reads
+    each such byte as one of U+DC80-DCFF."""
+    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+        lineno = next(i for i, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
+    return ValueError(f"{path}:{lineno}: not valid UTF-8")
 
 
 def _first_error(rows, path, header, roles, failure) -> ValueError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, _not_utf8
 
 __all__ = [
     "Thresholds",
@@ -87,20 +87,24 @@ class Thresholds:
         lines, where '#' starts a comment.  Errors name the file and line."""
         valid = {f.name for f in dataclasses.fields(cls)}
         overrides: dict[str, float] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = (part.strip() for part in line.partition("="))
-                if not sep or not key:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                if key not in valid:
-                    raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
-                try:
-                    overrides[key] = float(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not a number: {value!r}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise _not_utf8(path, "utf-8") from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            if key not in valid:
+                raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
+            try:
+                overrides[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {value!r}") from None
         try:
             return cls(**overrides)
         except ValueError as exc:

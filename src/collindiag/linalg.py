@@ -9,6 +9,18 @@ separates exact multicollinearity (SingularMatrixError) from near
 multicollinearity (diagnostics proceed).  A column block of X may be
 passed as the same block of R from X = QR: both have the same singular
 values and column norms.
+
+A stack of perturbed designs is first gated, draw by draw, so that only
+the draws near the cut pay for an SVD.  With B = R_k D^-1 the unit-scaled
+leading block (D the diagonal of column norms), ||B||_F = sqrt(k), so
+cond_2(B) <= sqrt(k) * ||B^-1||_F, and B^-1 = D R_k^-1 takes one stacked
+inverse.  A draw whose bound is below _GATE_MARGIN / (max(n, k) * eps)
+passes the cut without an SVD.  Every other draw, and one whose bound is
+inf or nan, takes the scaled SVD and _past_cut as before.  The margin of
+1e-4 covers the computed inverse's relative error (about k * cond * eps,
+at most ~1e-4 below the gate) and the SVD's own rounding (a few eps *
+s_max), so the gate and the SVD give the same verdict on every draw it
+decides.
 """
 
 import numpy as np
@@ -22,6 +34,7 @@ __all__ = [
 ]
 
 SINGULAR_MESSAGE = "exact or near-exact multicollinearity: design numerically rank deficient"
+_GATE_MARGIN = 1e-4  # a derived error bound, not a setting: see the module docstring
 
 
 class SingularMatrixError(ValueError):
@@ -66,16 +79,26 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each n x (k+1) matrix [X | y] in the stack A: the least squares
     coefficients of y on X, from one stacked QR, and whether X fails the
     singular cut (its coefficients are left 0).  The cut is taken on the
-    unit-scaled R[:k, :k], which has the singular values of X."""
-    if A.shape[1] < k:
-        raise ValueError(f"need at least as many observations ({A.shape[1]}) as columns ({k})")
+    unit-scaled B = R[:k, :k] D^-1, D the column norms, which has the
+    singular values of X; the gate in the module docstring spares the SVD
+    of every B whose bound sqrt(k) * ||D R[:k, :k]^-1||_F is far from it."""
+    n = A.shape[1]
+    if n < k:
+        raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
     _check_finite(A)
     R = np.linalg.qr(A, mode="r")
     Rk = R[:, :k, :k]
     singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
     ok = np.flatnonzero(~singular)
-    scaled = Rk[ok] / _norms(Rk[ok].transpose(0, 2, 1))[:, None, :]
-    singular[ok] = _past_cut(np.linalg.svd(scaled, compute_uv=False), A.shape[1], k)
+    Rok = Rk[ok]
+    norms = _norms(Rok.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan bounds go to the SVD
+        B_inv = np.linalg.inv(Rok) * norms[:, :, None]
+        bound = np.sqrt(k * (B_inv * B_inv).sum(axis=(1, 2)))
+    near = ~(bound < _GATE_MARGIN / (max(n, k) * np.finfo(float).eps))
+    if near.any():
+        scaled = Rok[near] / norms[near][:, None, :]
+        singular[ok[near]] = _past_cut(np.linalg.svd(scaled, compute_uv=False), n, k)
     ok = np.flatnonzero(~singular)
     beta = np.zeros((len(A), k))
     beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]

@@ -174,13 +174,13 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         that only the noise and the stacked designs are held at once."""
         W = _scale_noise(rng.normal(cfg.noise_mean, cfg.noise_sd, (c, s, n)), cfg.tol, x)
         W += x
-        A = np.empty((c, n, k + 1))
-        A[:, :, :k], A[:, :, k] = X.X, yv
-        A[:, :, sel] = W.transpose(0, 2, 1)
+        A = np.empty((c, k + 1, n))  # column-major designs: W goes in by whole rows
+        A[:, :k], A[:, k] = X.X.T, yv
+        A[:, sel] = W
         W -= x
         achieved = 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
         del W
-        beta_p, singular = linalg._qr_fit(A, k)  # rejects an inf perturbation
+        beta_p, singular = linalg._qr_fit(A.transpose(0, 2, 1), k)  # rejects an inf perturbation
         return achieved, 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
     achieved, change, resamples = np.empty(count), np.empty(count), 0

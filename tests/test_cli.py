@@ -151,6 +151,18 @@ class TestCsvErrors:
                              "--quant", "a", "--quant", "b")
         assert (code, out, err) == (2, "", f"error: {path}:{lineno}: not valid UTF-8\n")
 
+    @pytest.mark.parametrize("data, lineno", [
+        (b"vif_limit = 5\n# caf\xe9\n", 2),  # in a comment too
+        (b"\xffvif_limit = 5\n", 1),
+        (b"vif_limit = 5\r\n\r\ncn_severe = 40 \xc3", 3),  # blank lines count; cut-off sequence
+    ])
+    def test_thresholds_file_not_utf8(self, capsys, tmp_path, monkeypatch, data, lineno):
+        path = tmp_path / "thresholds.cfg"
+        path.write_bytes(data)
+        monkeypatch.setenv(THRESHOLDS_ENV, str(path))
+        code, out, err = run(capsys, "vif", "--fixture", "kg")
+        assert (code, out, err) == (2, "", f"error: {path}:{lineno}: not valid UTF-8\n")
+
     def test_empty_file(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "")
         assert err == f"error: {path}: no header row (empty file)\n"

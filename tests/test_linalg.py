@@ -14,13 +14,17 @@ from collindiag import (
 )
 from collindiag.linalg import (
     SingularMatrixError,
+    _norms,
+    _past_cut,
+    _qr_fit,
     least_squares,
     scaled_inverse_diag,
     scaled_svd,
     unit_length_scale,
 )
+from collindiag.perturb import PerturbConfig, perturb_n
 
-from conftest import random_design
+from conftest import count_factorizations, random_design
 
 
 def quantitative_design(M) -> DesignMatrix:
@@ -261,6 +265,90 @@ class TestLeastSquares:
     def test_invalid_input_rejected(self, X, y, match):
         with pytest.raises(ValueError, match=match):
             least_squares(X, y)
+
+
+def svd_every_draw_qr_fit(A, k):
+    """_qr_fit without the gate: the scaled SVD of every draw with no zero pivot."""
+    R = np.linalg.qr(A, mode="r")
+    Rk = R[:, :k, :k]
+    singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
+    ok = np.flatnonzero(~singular)
+    scaled = Rk[ok] / _norms(Rk[ok].transpose(0, 2, 1))[:, None, :]
+    singular[ok] = _past_cut(np.linalg.svd(scaled, compute_uv=False), A.shape[1], k)
+    ok = np.flatnonzero(~singular)
+    beta = np.zeros((len(A), k))
+    beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]
+    return beta, singular
+
+
+GATE_N, GATE_K = 20, 4
+CUT_CN = 1.0 / (GATE_N * np.finfo(float).eps)  # the scaled CN at the singular cut
+
+
+def stacked_designs(cns, seed=0):
+    """[X | y] for each cn: X = U diag(s) V' with s from 1 down to 1/cn,
+    then each column scaled by 10^u, u uniform in [-8, 8]."""
+    rng = np.random.default_rng(seed)
+    A = np.empty((len(cns), GATE_N, GATE_K + 1))
+    for i, cn in enumerate(cns):
+        U = np.linalg.qr(rng.normal(size=(GATE_N, GATE_K)))[0]
+        V = np.linalg.qr(rng.normal(size=(GATE_K, GATE_K)))[0]
+        X = (U * np.geomspace(1.0, 1.0 / cn, GATE_K)) @ V.T * 10.0 ** rng.uniform(-8, 8, GATE_K)
+        A[i, :, :GATE_K], A[i, :, GATE_K] = X, X @ rng.normal(size=GATE_K) + rng.normal(size=GATE_N)
+    return A
+
+
+class TestQrFitGate:
+    """The gate decides draws far from the singular cut without an SVD; its
+    flags and betas match the SVD of every draw bit for bit."""
+
+    @staticmethod
+    def assert_same_as_svd_on_every_draw(A):
+        beta, singular = _qr_fit(A, GATE_K)
+        want_beta, want_singular = svd_every_draw_qr_fit(A, GATE_K)
+        assert np.array_equal(singular, want_singular)
+        assert np.array_equal(beta, want_beta)
+        return singular
+
+    def test_same_as_svd_from_cn_1_to_1e17(self):
+        A = stacked_designs(np.concatenate([np.geomspace(1.0, 1e17, 200),
+                                            np.geomspace(CUT_CN / 10, CUT_CN * 10, 200)]))
+        A[0, :, 2] = 0.0  # a zero pivot
+        A[1, :, 3] = A[1, :, 1]  # a duplicated column
+        A[2, :, :2] = 0.0
+        A[2, 0, :2], A[2, 1, 1] = 1.0, 1e-300  # B^-1 holds 1e300: its bound overflows to inf
+        s = np.array([numpy_scaled_singular_values(a[:, :GATE_K]) for a in A[3:]])
+        cn = s[:, 0] / s[:, -1]
+        assert ((cn >= CUT_CN / 10) & (cn < CUT_CN)).sum() >= 20
+        assert ((cn >= CUT_CN) & (cn <= CUT_CN * 10)).sum() >= 20
+        singular = self.assert_same_as_svd_on_every_draw(A)
+        assert singular[:3].all()
+        assert 50 <= singular.sum() <= len(A) - 200
+
+    def test_all_singular_stack(self, monkeypatch):
+        A = stacked_designs(np.ones(5))
+        A[:, :, 1] = 0.0
+        calls = count_factorizations(monkeypatch)
+        _qr_fit(A, GATE_K)
+        assert calls == [("qr", A.shape)]
+        monkeypatch.undo()
+        assert self.assert_same_as_svd_on_every_draw(A).all()
+
+    def test_only_undecided_draws_reach_the_svd(self, monkeypatch):
+        cns = np.geomspace(1.0, 1e3, 60)
+        cns[::3] = np.geomspace(CUT_CN / 10, CUT_CN * 10, 20)
+        A = stacked_designs(cns, seed=1)
+        calls = count_factorizations(monkeypatch)
+        _qr_fit(A, GATE_K)
+        assert calls == [("qr", A.shape), ("svd", (20, GATE_K, GATE_K))]
+        monkeypatch.undo()
+        self.assert_same_as_svd_on_every_draw(A)
+
+    def test_kg_draws_take_no_svd(self, monkeypatch, kg_design, kg_y):
+        calls = count_factorizations(monkeypatch)
+        perturb_n(kg_y, kg_design, PerturbConfig(iterations=5000, seed=1))
+        # the one SVD is the baseline fit's, of its k x k block
+        assert [c for c in calls if c[0] == "svd"] == [("svd", (kg_design.k, kg_design.k))]
 
 
 class TestScaleInvariance:
