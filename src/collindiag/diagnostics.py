@@ -88,10 +88,10 @@ class Thresholds:
         valid = {f.name for f in dataclasses.fields(cls)}
         overrides: dict[str, float] = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError:
-            raise _not_utf8(path, "utf-8") from None
+            raise _not_utf8(path, "utf-8-sig") from None
         for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -299,7 +299,7 @@ def _vifs(X: DesignMatrix) -> np.ndarray:
             # T comes from [1, Q] by orthogonal steps, so it is only as
             # accurate as that block is well conditioned
             _block_svd(X, _intercept_quant_cols(X))
-        return linalg.scaled_inverse_diag(T, X.n)
+        return linalg._inverse_diag(*linalg.scaled_svd(T, X.n))
     except linalg.SingularMatrixError:
         pass  # raised again below, naming the worst pair, with no chained traceback
     labels = X.quantitative_labels

@@ -10,16 +10,17 @@ multicollinearity (diagnostics proceed).  A column block of X may be
 passed as the same block of R from X = QR: both have the same singular
 values and column norms.
 
-A stack of perturbed designs is first gated, draw by draw, so that only
-the draws near the cut pay for an SVD.  With B = R_k D^-1 the unit-scaled
+Every least squares fit goes through _qr_fit, one design or a stack of
+perturbed ones, and is first gated, design by design, so that only the
+designs near the cut pay for an SVD.  With B = R_k D^-1 the unit-scaled
 leading block (D the diagonal of column norms), ||B||_F = sqrt(k), so
 cond_2(B) <= sqrt(k) * ||B^-1||_F, and B^-1 = D R_k^-1 takes one stacked
-inverse.  A draw whose bound is below _GATE_MARGIN / (max(n, k) * eps)
-passes the cut without an SVD.  Every other draw, and one whose bound is
-inf or nan, takes the scaled SVD and _past_cut as before.  The margin of
-1e-4 covers the computed inverse's relative error (about k * cond * eps,
-at most ~1e-4 below the gate) and the SVD's own rounding (a few eps *
-s_max), so the gate and the SVD give the same verdict on every draw it
+inverse.  A design whose bound is below _GATE_MARGIN / (max(n, k) * eps)
+passes the cut without an SVD.  Every other design, and one whose bound
+is inf or nan, takes the scaled SVD and _past_cut.  The margin of 1e-4
+covers the computed inverse's relative error (about k * cond * eps, at
+most ~1e-4 below the gate) and the SVD's own rounding (a few eps *
+s_max), so the gate and the SVD give the same verdict on every design it
 decides.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "SingularMatrixError",
     "unit_length_scale",
     "scaled_svd",
-    "scaled_inverse_diag",
     "least_squares",
 ]
 
@@ -75,13 +75,14 @@ def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:
     return (s.shape[-1] < k) | (s[..., -1] <= max(n, k) * np.finfo(float).eps * s[..., 0])
 
 
-def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each n x (k+1) matrix [X | y] in the stack A: the least squares
-    coefficients of y on X, from one stacked QR, and whether X fails the
-    singular cut (its coefficients are left 0).  The cut is taken on the
-    unit-scaled B = R[:k, :k] D^-1, D the column norms, which has the
-    singular values of X; the gate in the module docstring spares the SVD
-    of every B whose bound sqrt(k) * ||D R[:k, :k]^-1||_F is far from it."""
+    coefficients of y on X, from one stacked QR, whether X fails the
+    singular cut (its coefficients are left 0), and the R factor.  The cut
+    is taken on the unit-scaled B = R[:k, :k] D^-1, D the column norms,
+    which has the singular values of X; the gate in the module docstring
+    spares the SVD of every B whose bound sqrt(k) * ||D R[:k, :k]^-1||_F is
+    far from it."""
     n = A.shape[1]
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
@@ -102,7 +103,7 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ok = np.flatnonzero(~singular)
     beta = np.zeros((len(A), k))
     beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]
-    return beta, singular
+    return beta, singular, R
 
 
 def unit_length_scale(M) -> np.ndarray:
@@ -128,37 +129,26 @@ def scaled_svd(A, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, vt
 
 
-def scaled_inverse_diag(A, n: int) -> np.ndarray:
-    """Diagonal of (B'B)^-1, where B is A with unit-length columns.
-
-    For an intercept-plus-regressors block these are Stewart's k_i^2; for
-    a centered block they are the VIFs.
-    """
-    return _inverse_diag(*scaled_svd(A, n))
-
-
 def _inverse_diag(s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """Diagonal of (B'B)^-1 from the singular values and Vt of B."""
     return ((vt / s[:, None]) ** 2).sum(axis=0)
 
 
-def _fit(X, y) -> tuple[np.ndarray, float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Least squares of y on the n x k matrix X from one QR of [X | y]: the coefficients,
-    the residual norm |R[k, k]|, X's R (the leading k x k block) and its scaled SVD
-    (s, Vt), which passed the singular cut.  X and y must be finite."""
+def _fit(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of y on the n x k matrix X from one QR of [X | y]: the
+    coefficients and R, whose leading k x k block is X's R and whose
+    |R[k, k]| is the residual norm (n > k).  X and y must be finite; a
+    design failing the singular cut raises SingularMatrixError, naming a
+    zero column if it has one."""
     A = _as_matrix(X)
     n, k = A.shape
     if np.shape(y) != (n,):
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
-    if n < k:
-        raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
-    Ab = np.column_stack([A, y])
-    _check_finite(Ab)
-    R = np.linalg.qr(Ab, mode="r")
-    Rk = R[:k, :k]
-    svd = scaled_svd(Rk, n)  # names a zero column, if any
-    beta = np.linalg.solve(Rk, R[:k, k])  # LU of a triangular matrix: back substitution
-    return beta, (float(abs(R[k, k])) if n > k else 0.0), Rk, svd
+    beta, singular, R = _qr_fit(np.column_stack([A, y])[None], k)
+    if singular[0]:
+        unit_length_scale(R[0, :k, :k])
+        raise SingularMatrixError(SINGULAR_MESSAGE)
+    return beta[0], R[0]
 
 
 def least_squares(X, y) -> np.ndarray:

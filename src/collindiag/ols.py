@@ -143,8 +143,10 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     """Fit y on X by OLS and compute the full inference summary.
 
     Requires an intercept (the total sum of squares is centered) and
-    more observations than columns.  An exact fit yields sigma = 0,
-    R^2 = 1 and an infinite F statistic with p-value 0.
+    more observations than columns.  One QR of [X | y] gives everything:
+    beta from its leading block R_k, sigma from |R[k, k]|, and each
+    standard error as sigma times a row norm of R_k^-1.  An exact fit
+    yields sigma = 0, R^2 = 1 and an infinite F statistic with p-value 0.
     """
     yv = np.asarray(y, dtype=float)
     n, k = X.n, X.k
@@ -153,7 +155,8 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     if n <= k:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
 
-    beta, rnorm, R, (s, vt) = linalg._fit(X.X, yv)
+    beta, R = linalg._fit(X.X, yv)
+    rnorm = float(abs(R[k, k]))
     residuals = yv - X.X @ beta
     # norms, not sums of squares, so a response scaled far from 1 neither
     # overflows nor underflows; sigma, R^2 and F come from their ratio
@@ -163,7 +166,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
 
     df_resid = n - k
     sigma = rnorm / math.sqrt(df_resid)
-    se = sigma * np.sqrt(linalg._inverse_diag(s, vt)) / linalg._norms(R.T)
+    se = sigma * linalg._norms(np.linalg.inv(R[:k, :k]))  # cov = sigma^2 (R'R)^-1
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),

@@ -180,7 +180,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         W -= x
         achieved = 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
         del W
-        beta_p, singular = linalg._qr_fit(A.transpose(0, 2, 1), k)  # rejects an inf perturbation
+        beta_p, singular, _ = linalg._qr_fit(A.transpose(0, 2, 1), k)  # rejects an inf perturbation
         return achieved, 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
     achieved, change, resamples = np.empty(count), np.empty(count), 0

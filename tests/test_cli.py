@@ -163,6 +163,16 @@ class TestCsvErrors:
         code, out, err = run(capsys, "vif", "--fixture", "kg")
         assert (code, out, err) == (2, "", f"error: {path}:{lineno}: not valid UTF-8\n")
 
+    def test_thresholds_file_bom_reads_as_without(self, capsys, tmp_path, monkeypatch):
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "thresholds.cfg"
+            path.write_bytes(bom + b"vif_limit = 5\n")
+            monkeypatch.setenv(THRESHOLDS_ENV, str(path))
+            outputs.append(run(capsys, "vif", "--fixture", "kg"))
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0] == 0 and "> limit 5\n" in outputs[0][1]
+
     def test_empty_file(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "")
         assert err == f"error: {path}: no header row (empty file)\n"

@@ -14,11 +14,11 @@ from collindiag import (
 )
 from collindiag.linalg import (
     SingularMatrixError,
+    _inverse_diag,
     _norms,
     _past_cut,
     _qr_fit,
     least_squares,
-    scaled_inverse_diag,
     scaled_svd,
     unit_length_scale,
 )
@@ -168,7 +168,8 @@ class TestSpdInverse:
     stewart_index report it, against numpy's inverse."""
 
     def test_diagonal(self):
-        assert_allclose(scaled_inverse_diag(np.diag([2.0, 4.0]), 2), [1.0, 1.0], atol=1e-15)
+        assert_allclose(_inverse_diag(*scaled_svd(np.diag([2.0, 4.0]), 2)), [1.0, 1.0],
+                        atol=1e-15)
 
     def test_duplicated_column_gram_is_singular(self):
         x = np.array([1.0, 2.0, 3.0, 5.0])
@@ -278,7 +279,7 @@ def svd_every_draw_qr_fit(A, k):
     ok = np.flatnonzero(~singular)
     beta = np.zeros((len(A), k))
     beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]
-    return beta, singular
+    return beta, singular, R
 
 
 GATE_N, GATE_K = 20, 4
@@ -304,10 +305,11 @@ class TestQrFitGate:
 
     @staticmethod
     def assert_same_as_svd_on_every_draw(A):
-        beta, singular = _qr_fit(A, GATE_K)
-        want_beta, want_singular = svd_every_draw_qr_fit(A, GATE_K)
+        beta, singular, R = _qr_fit(A, GATE_K)
+        want_beta, want_singular, want_R = svd_every_draw_qr_fit(A, GATE_K)
         assert np.array_equal(singular, want_singular)
         assert np.array_equal(beta, want_beta)
+        assert np.array_equal(R, want_R)
         return singular
 
     def test_same_as_svd_from_cn_1_to_1e17(self):
@@ -347,8 +349,8 @@ class TestQrFitGate:
     def test_kg_draws_take_no_svd(self, monkeypatch, kg_design, kg_y):
         calls = count_factorizations(monkeypatch)
         perturb_n(kg_y, kg_design, PerturbConfig(iterations=5000, seed=1))
-        # the one SVD is the baseline fit's, of its k x k block
-        assert [c for c in calls if c[0] == "svd"] == [("svd", (kg_design.k, kg_design.k))]
+        # the baseline fit is gated like the draws
+        assert [c for c in calls if c[0] == "svd"] == []
 
 
 class TestScaleInvariance:

@@ -92,6 +92,19 @@ class TestFCdf:
             f_cdf(1.0, 0, 3)
 
 
+def conditioned_design(n: int, k: int, cn: float, seed: int = 0):
+    """An intercept and k - 1 regressors whose unit-scaled design has a
+    condition number near cn, with a response y = X beta + noise: the
+    regressors are U diag(s) W' with s from 1 down to 1/cn, U orthogonal
+    to the intercept, each column then scaled by 10^u, u in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))]))[0][:, 1:]
+    W = np.linalg.qr(rng.normal(size=(k - 1, k - 1)))[0]
+    Z = (U * np.geomspace(1.0, 1.0 / cn, k - 1)) @ W.T * 10.0 ** rng.uniform(-3, 3, k - 1)
+    X = np.column_stack([np.ones(n), Z])
+    return X, X @ rng.normal(size=k) + rng.normal(size=n)
+
+
 class TestOlsFit:
     def test_theil_table(self, theil_design, theil_y):
         fit = ols_fit(theil_y, theil_design)
@@ -141,9 +154,14 @@ class TestOlsFit:
         x = np.arange(1.0, 8.0)
         X = DesignMatrix(X=np.column_stack([np.ones(7), x]), intercept_present=True,
                          quantitative_idx=(1,), dummy_idx=(), labels=("intercept", "x"))
-        fit_once = linalg._fit  # its beta and residual norm replaced, its factors kept
-        monkeypatch.setattr("collindiag.ols.linalg._fit",
-                            lambda A, y: (np.array([0.0, 3.0]), 0.0, *fit_once(A, y)[2:]))
+        fit_once = linalg._fit  # its beta and residual norm R[k, k] replaced, X's R kept
+
+        def exact_fit(A, y):
+            R = fit_once(A, y)[1].copy()
+            R[2, 2] = 0.0
+            return np.array([0.0, 3.0]), R
+
+        monkeypatch.setattr("collindiag.ols.linalg._fit", exact_fit)
         fit = ols_fit(3.0 * x, X)
         assert fit.sigma == 0.0
         assert math.isnan(fit.t[0]) and math.isnan(fit.p[0])
@@ -172,6 +190,25 @@ class TestOlsFit:
             assert_allclose(np.asarray(getattr(fit, name)) / s, getattr(base, name),
                             rtol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("k", [5, 20])
+    @pytest.mark.parametrize("cn", [1e2, 1e5, 1e8])
+    def test_se_matches_50_digit_replay(self, k, cn):
+        mpmath = pytest.importorskip("mpmath")
+        X, y = conditioned_design(200, k, cn)
+        s = np.linalg.svd(X / np.linalg.norm(X, axis=0), compute_uv=False)
+        scaled_cn = s[0] / s[-1]
+        assert cn / 10 <= scaled_cn <= cn * 10
+        fit = ols_fit(y, DesignMatrix(X=X, intercept_present=True,
+                                      quantitative_idx=tuple(range(1, k)), dummy_idx=(),
+                                      labels=tuple(f"x{j}" for j in range(k))))
+        with mpmath.workdps(50):  # sigma^2 diag((X'X)^-1), (X'X)^-1 X'y for the residual
+            A, b = mpmath.matrix(X.tolist()), mpmath.matrix(y.tolist())
+            G_inv = (A.T * A) ** -1
+            r = b - A * (G_inv * (A.T * b))
+            var = (r.T * r)[0] / (200 - k)
+            want = [float(mpmath.sqrt(var * G_inv[i, i])) for i in range(k)]
+        assert_allclose(fit.se, want, rtol=k * np.finfo(float).eps * scaled_cn, atol=0)
+
     def test_singular_design_rejected(self):
         x = np.arange(1.0, 9.0)
         X = DesignMatrix(X=np.column_stack([np.ones(8), x, 3 * x]),
@@ -180,11 +217,11 @@ class TestOlsFit:
         with pytest.raises(SingularMatrixError):
             ols_fit(x, X)
 
-    def test_one_qr_of_x_and_y_and_one_svd(self, monkeypatch, kg_dataset, kg_y):
+    def test_one_qr_of_x_and_y_and_no_svd(self, monkeypatch, kg_dataset, kg_y):
         X = design_matrix(kg_dataset)
         calls = count_factorizations(monkeypatch)
         ols_fit(kg_y, X)
-        assert calls == [("qr", (X.n, X.k + 1)), ("svd", (X.k, X.k))]
+        assert calls == [("qr", (1, X.n, X.k + 1))]
         assert "factors" not in vars(X)  # X alone is never factored
 
     def test_needs_more_rows_than_columns(self):
