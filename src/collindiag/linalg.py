@@ -75,14 +75,15 @@ def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:
     return (s.shape[-1] < k) | (s[..., -1] <= max(n, k) * np.finfo(float).eps * s[..., 0])
 
 
-def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each n x (k+1) matrix [X | y] in the stack A: the least squares
     coefficients of y on X, from one stacked QR, whether X fails the
-    singular cut (its coefficients are left 0), and the R factor.  The cut
-    is taken on the unit-scaled B = R[:k, :k] D^-1, D the column norms,
-    which has the singular values of X; the gate in the module docstring
-    spares the SVD of every B whose bound sqrt(k) * ||D R[:k, :k]^-1||_F is
-    far from it."""
+    singular cut (its coefficients are left 0), and the R factor; last,
+    the gate's R[:k, :k]^-1 of each design with no zero pivot, in stack
+    order.  The cut is taken on the unit-scaled B = R[:k, :k] D^-1, D the
+    column norms, which has the singular values of X; the gate in the
+    module docstring spares the SVD of every B whose bound
+    sqrt(k) * ||D R[:k, :k]^-1||_F is far from it."""
     n = A.shape[1]
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
@@ -94,7 +95,8 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rok = Rk[ok]
     norms = _norms(Rok.transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan bounds go to the SVD
-        B_inv = np.linalg.inv(Rok) * norms[:, :, None]
+        Rk_inv = np.linalg.inv(Rok)
+        B_inv = Rk_inv * norms[:, :, None]
         bound = np.sqrt(k * (B_inv * B_inv).sum(axis=(1, 2)))
     near = ~(bound < _GATE_MARGIN / (max(n, k) * np.finfo(float).eps))
     if near.any():
@@ -103,7 +105,7 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ok = np.flatnonzero(~singular)
     beta = np.zeros((len(A), k))
     beta[ok] = np.linalg.solve(Rk[ok], R[ok, :k, k:])[..., 0]
-    return beta, singular, R
+    return beta, singular, R, Rk_inv
 
 
 def unit_length_scale(M) -> np.ndarray:
@@ -134,21 +136,21 @@ def _inverse_diag(s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return ((vt / s[:, None]) ** 2).sum(axis=0)
 
 
-def _fit(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares of y on the n x k matrix X from one QR of [X | y]: the
-    coefficients and R, whose leading k x k block is X's R and whose
-    |R[k, k]| is the residual norm (n > k).  X and y must be finite; a
-    design failing the singular cut raises SingularMatrixError, naming a
-    zero column if it has one."""
+    coefficients, R, whose leading k x k block is X's R and whose
+    |R[k, k]| is the residual norm (n > k), and that block's inverse.  X
+    and y must be finite; a design failing the singular cut raises
+    SingularMatrixError, naming a zero column if it has one."""
     A = _as_matrix(X)
     n, k = A.shape
     if np.shape(y) != (n,):
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
-    beta, singular, R = _qr_fit(np.column_stack([A, y])[None], k)
+    beta, singular, R, Rk_inv = _qr_fit(np.column_stack([A, y])[None], k)
     if singular[0]:
         unit_length_scale(R[0, :k, :k])
         raise SingularMatrixError(SINGULAR_MESSAGE)
-    return beta[0], R[0]
+    return beta[0], R[0], Rk_inv[0]
 
 
 def least_squares(X, y) -> np.ndarray:

@@ -155,7 +155,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     if n <= k:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
 
-    beta, R = linalg._fit(X.X, yv)
+    beta, R, Rk_inv = linalg._fit(X.X, yv)
     rnorm = float(abs(R[k, k]))
     residuals = yv - X.X @ beta
     # norms, not sums of squares, so a response scaled far from 1 neither
@@ -166,7 +166,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
 
     df_resid = n - k
     sigma = rnorm / math.sqrt(df_resid)
-    se = sigma * linalg._norms(np.linalg.inv(R[:k, :k]))  # cov = sigma^2 (R'R)^-1
+    se = sigma * linalg._norms(Rk_inv)  # cov = sigma^2 (R'R)^-1
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),

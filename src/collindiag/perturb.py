@@ -10,6 +10,7 @@ larger than the perturbation that caused them.
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,18 @@ def perturb_once(y, X: DesignMatrix, cfg: PerturbConfig,
 
 def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.Generator,
            count: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """count draws: (achieved_pct, change_pct, resamples).  Each block of
-    about _BLOCK_BYTES takes its noise in one rng.normal call, draw-major
-    then column order: the stream of one call per column per draw.  A
-    draw failing the singular cut is redrawn after its block's noise, up
-    to _MAX_RETRIES attempts in all."""
+    """count draws: (achieved_pct, change_pct, resamples).  The draws are
+    worked in blocks of about _BLOCK_BYTES.  Each block's noise is one
+    rng.standard_normal fill, scaled by noise_sd and shifted by
+    noise_mean, draw-major then column order: the stream and values of
+    one rng.normal call per column per draw.  From the second block on,
+    one worker thread draws and builds block j + 1 while this thread
+    refits block j; only the worker touches rng while a block is in
+    flight, and a block it has not begun when it is needed is built here
+    instead.  A draw failing the singular cut is redrawn right after its
+    block's noise, up to _MAX_RETRIES attempts in all: the block drawn
+    ahead is discarded, rng is set back to its state before that block,
+    and the block is drawn again after the redraws."""
     sel = list(_selected_columns(X, cfg))
     (n, k), s = X.X.shape, len(sel)
     beta = linalg._fit(X.X, yv)[0]
@@ -169,35 +177,81 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     if beta_norm == 0.0:
         raise ValueError("baseline coefficients are all zero: the relative change is undefined")
 
-    def block(c):
-        """Draw, perturb, refit and measure c draws, updating in place so
-        that only the noise and the stacked designs are held at once."""
-        W = _scale_noise(rng.normal(cfg.noise_mean, cfg.noise_sd, (c, s, n)), cfg.tol, x)
+    size = min(count, max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s))))
+    bounds = [(start, min(start + size, count)) for start in range(0, count, size)]
+    # allocated once per call: one noise buffer and, with a block drawn
+    # ahead, two of column-major designs [Xp | y] (so W goes in by whole
+    # rows) whose columns of X and y are written here once
+    noise = np.empty((size, s, n))
+    designs = np.empty((min(2, len(bounds)), size, k + 1, n))
+    designs[:, :, :k], designs[:, :, k] = X.X.T, yv
+
+    def build(A, c):
+        """Draw c draws' noise, perturb their columns into A[:c] and return
+        their achieved_pct; the noise buffer is reused in place."""
+        W = noise[:c]
+        rng.standard_normal(out=W)
+        with np.errstate(over="ignore"):  # noise past the largest double is inf
+            W *= cfg.noise_sd
+            W += cfg.noise_mean
+        _scale_noise(W, cfg.tol, x)
         W += x
-        A = np.empty((c, k + 1, n))  # column-major designs: W goes in by whole rows
-        A[:, :k], A[:, k] = X.X.T, yv
-        A[:, sel] = W
+        A[:c, sel] = W
         W -= x
-        achieved = 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
-        del W
-        beta_p, singular, _ = linalg._qr_fit(A.transpose(0, 2, 1), k)  # rejects an inf perturbation
-        return achieved, 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
+        return 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
+
+    def refit(A, c):
+        """Refit the c designs A[:c]: (change_pct, singular)."""
+        # _qr_fit rejects an inf perturbation
+        beta_p, singular, _, _ = linalg._qr_fit(A[:c].transpose(0, 2, 1), k)
+        return 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
     achieved, change, resamples = np.empty(count), np.empty(count), 0
-    size = max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s)))
-    for start in range(0, count, size):
-        stop = min(start + size, count)
-        achieved[start:stop], change[start:stop], singular = block(stop - start)
-        for i in start + np.flatnonzero(singular):
-            for attempt in range(1, _MAX_RETRIES + 1):
-                log.warning("perturbed design singular; resampling (attempt %d)", attempt)
-                if attempt == _MAX_RETRIES:
-                    raise linalg.SingularMatrixError(
-                        f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
-                resamples += 1
-                achieved[i:i + 1], change[i:i + 1], (again,) = block(1)
-                if not again:
-                    break
+    start, stop = bounds[0]
+    achieved[start:stop] = build(designs[0], stop - start)
+    worker = ThreadPoolExecutor(max_workers=1) if len(bounds) > 1 else None
+
+    def draw_ahead(b):
+        """Start block b on the worker: (rng state before it, future), or
+        None past the last block.  The worker thread starts on the first."""
+        if b == len(bounds):
+            return None
+        start, stop = bounds[b]
+        return rng.bit_generator.state, worker.submit(build, designs[b % 2], stop - start)
+
+    try:
+        ahead = draw_ahead(1) if worker else None
+        for b, (start, stop) in enumerate(bounds):
+            A = designs[b % 2]
+            if b:
+                # a block the worker has not begun is built here: a worker
+                # not yet scheduled does not hold up the refits
+                drawn = ahead[1]
+                achieved[start:stop] = build(A, stop - start) if drawn.cancel() else drawn.result()
+                ahead = draw_ahead(b + 1)
+            change[start:stop], singular = refit(A, stop - start)
+            if not singular.any():
+                continue
+            if ahead is not None:  # the block drawn ahead took the redraws' noise
+                state, drawn = ahead
+                drawn.exception()  # waits; the block and any error it raised are dropped
+                rng.bit_generator.state = state
+            for i in start + np.flatnonzero(singular):
+                for attempt in range(1, _MAX_RETRIES + 1):
+                    log.warning("perturbed design singular; resampling (attempt %d)", attempt)
+                    if attempt == _MAX_RETRIES:
+                        raise linalg.SingularMatrixError(
+                            f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
+                    resamples += 1
+                    achieved[i] = build(A, 1)[0]
+                    change[i:i + 1], (again,) = refit(A, 1)
+                    if not again:
+                        break
+            if ahead is not None:
+                ahead = draw_ahead(b + 1)
+    finally:
+        if worker is not None:
+            worker.shutdown()  # waits for a block in flight, which only an error leaves unread
     return achieved, change, resamples
 
 
@@ -216,9 +270,13 @@ def _summarize(values: np.ndarray) -> SummaryStats:
 def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     """Run cfg.iterations independent perturbation draws.
 
-    The baseline is fit once.  The same seed always reproduces the
-    result bit for bit, and the draws match those of one rng.normal call
-    per column per draw as long as no draw is resampled.
+    The baseline is fit once.  When the draws take more than one block,
+    one worker thread draws and builds the next block while the calling
+    thread refits the current one, so the call may use a second core
+    whatever the BLAS thread count; the worker is joined before the call
+    returns or raises.  The same seed always reproduces the result bit
+    for bit, and the draws match those of one rng.normal call per column
+    per draw as long as no draw is resampled.
     """
     rng = np.random.default_rng(cfg.seed)
     achieved, change, resamples = _draws(np.asarray(y, dtype=float), X, cfg, rng, cfg.iterations)

@@ -305,7 +305,7 @@ class TestQrFitGate:
 
     @staticmethod
     def assert_same_as_svd_on_every_draw(A):
-        beta, singular, R = _qr_fit(A, GATE_K)
+        beta, singular, R, _ = _qr_fit(A, GATE_K)
         want_beta, want_singular, want_R = svd_every_draw_qr_fit(A, GATE_K)
         assert np.array_equal(singular, want_singular)
         assert np.array_equal(beta, want_beta)

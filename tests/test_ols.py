@@ -157,9 +157,10 @@ class TestOlsFit:
         fit_once = linalg._fit  # its beta and residual norm R[k, k] replaced, X's R kept
 
         def exact_fit(A, y):
-            R = fit_once(A, y)[1].copy()
+            _, R, Rk_inv = fit_once(A, y)
+            R = R.copy()
             R[2, 2] = 0.0
-            return np.array([0.0, 3.0]), R
+            return np.array([0.0, 3.0]), R, Rk_inv
 
         monkeypatch.setattr("collindiag.ols.linalg._fit", exact_fit)
         fit = ols_fit(3.0 * x, X)

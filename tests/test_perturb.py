@@ -1,7 +1,10 @@
 import logging
 import math
+import sys
+import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -193,13 +196,18 @@ class TestPerturbN:
 
 
 class StubRng:
-    """Hands out the given noise arrays in turn, one per normal() call."""
+    """Hands out the given noise arrays in turn, one per standard_normal()
+    fill; its bit_generator's state is its place in that queue.  With
+    noise_mean 0 and noise_sd 1, the arrays are the noise verbatim."""
 
     def __init__(self, *noise):
-        self.noise = list(noise)
+        self.noise = [np.array(r, dtype=float) for r in noise]
+        self.bit_generator = types.SimpleNamespace(state=0)
 
-    def normal(self, mean, sd, size):
-        return np.array(self.noise.pop(0), dtype=float).reshape(size)
+    def standard_normal(self, *, out):
+        out[...] = self.noise[self.bit_generator.state].reshape(out.shape)
+        self.bit_generator.state += 1
+        return out
 
 
 def loop_replay(X, cfg):
@@ -282,6 +290,12 @@ class TestKernelAgainstLoop:
         assert elapsed < 1.0, elapsed
 
 
+def one_draw_blocks(X, cfg):
+    """A _BLOCK_BYTES that makes every block of _draws one draw."""
+    s = len(cfg.positions) or len(X.quantitative_idx)
+    return 8 * X.n * (X.k + 1 + s)
+
+
 class TestRedraw:
     def design(self):
         X = toy_design()
@@ -291,7 +305,8 @@ class TestRedraw:
         # with tol = 1, the noise r = -x makes the perturbed column exactly 0
         X, y = self.design()
         r_a, r_b, r_c = np.random.default_rng(6).normal(size=(3, X.n))
-        cfg = PerturbConfig(tol=1.0, iterations=3, positions=(1,), seed=0)
+        cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
+                            seed=0)
         expected = [perturb_once(y, X, cfg, StubRng(r)) for r in (r_a, r_b, r_c)]
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: StubRng([r_a, -X.X[:, 1], r_c], r_b))
@@ -302,12 +317,29 @@ class TestRedraw:
         assert_array_equal(res.achieved_pct, [a for a, _ in expected])
         assert_array_equal(res.change_pct, [c for _, c in expected])
 
+    def test_redraw_reads_the_stream_before_the_block_drawn_ahead(self, monkeypatch):
+        # three one-draw blocks: draw 1 is singular, and the worker draws
+        # block 2 ahead of its redraw; the redraw must still read r_1, not r_2
+        X, y = self.design()
+        r_1, r_2, r_3 = np.random.default_rng(7).normal(size=(3, X.n))
+        cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
+                            seed=0)
+        expected = [perturb_once(y, X, cfg, StubRng(r)) for r in (r_1, r_2, r_3)]
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: StubRng(-X.X[:, 1], r_1, r_2, r_3))
+        res = perturb_n(y, X, cfg)
+        assert res.resamples == 1
+        assert_array_equal(res.achieved_pct, [a for a, _ in expected])
+        assert_array_equal(res.change_pct, [c for _, c in expected])
+
     def test_singular_on_every_attempt_raises(self):
         X, y = self.design()
         stub = StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES)
+        cfg = PerturbConfig(tol=1.0, noise_mean=0.0, noise_sd=1.0, positions=(1,))
         with pytest.raises(SingularMatrixError, match="after 10 resamples"):
-            perturb_once(y, X, PerturbConfig(tol=1.0, positions=(1,)), stub)
-        assert stub.noise == []
+            perturb_once(y, X, cfg, stub)
+        assert stub.bit_generator.state == len(stub.noise)
 
     def test_no_resamples_on_regular_draws(self, kg_design, kg_y):
         assert perturb_n(kg_y, kg_design, PerturbConfig(iterations=20, seed=1)).resamples == 0
@@ -357,3 +389,114 @@ class TestNoiseScale:
         x = np.array([3.0, 4.0])
         xp = perturb_column(x, 0.01, scale * np.array([1.0, -2.0]))
         assert np.linalg.norm(xp - x) / 5.0 == pytest.approx(0.01, abs=1e-15)
+
+
+class TestWorker:
+    """From the second block on, one worker thread draws ahead; it is
+    joined on every exit and each call has its own."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        starts, start = [], threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return starts
+
+    def test_one_block_starts_no_thread(self, started, kg_design, kg_y):
+        perturb_once(kg_y, kg_design, PerturbConfig(), np.random.default_rng(1))
+        perturb_n(kg_y, kg_design, PerturbConfig(iterations=50, seed=1))
+        assert started == []
+
+    @staticmethod
+    def assert_one_joined(started, before):
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_many_blocks_start_one_thread(self, started, monkeypatch, kg_design, kg_y):
+        cfg = PerturbConfig(iterations=5, seed=1)
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(kg_design, cfg))
+        before = threading.active_count()
+        perturb_n(kg_y, kg_design, cfg)
+        self.assert_one_joined(started, before)
+
+    def test_joined_after_the_worker_raises(self, started, monkeypatch):
+        # with seed 29, draw 1 (built on this thread) has a finite noise norm
+        # and draw 2 (the worker's first block) one that overflows to inf;
+        # draw 1 is refit only once the worker has begun draw 2
+        X, y = TestRedraw().design()
+        cfg = PerturbConfig(noise_mean=0.0, noise_sd=1e308, iterations=20, positions=(1,),
+                            seed=29)
+        with np.errstate(over="ignore"):
+            z = np.random.default_rng(29).standard_normal((2, X.n)) * 1e308
+        norms = perturb.linalg._norms(z)
+        assert np.isfinite(norms[0]) and not np.isfinite(norms[1])
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
+        begun, raised_in, fits = threading.Event(), [], []
+        scale_noise, qr_fit = perturb._scale_noise, perturb.linalg._qr_fit
+
+        def scale_noise_on(W, tol, x):
+            if threading.current_thread() is not threading.main_thread():
+                begun.set()
+            try:
+                return scale_noise(W, tol, x)
+            except ValueError:
+                raised_in.append(threading.current_thread())
+                raise
+
+        def qr_fit_after_begun(A, k):
+            if fits:  # every fit after the baseline refits a draw
+                assert begun.wait(timeout=30)
+            fits.append(len(A))
+            return qr_fit(A, k)
+
+        monkeypatch.setattr(perturb, "_scale_noise", scale_noise_on)
+        monkeypatch.setattr(perturb.linalg, "_qr_fit", qr_fit_after_begun)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="noise vector has a zero or non-finite norm"):
+            perturb_n(y, X, cfg)
+        assert raised_in == started
+        self.assert_one_joined(started, before)
+
+    def test_joined_after_the_redraw_limit(self, started, monkeypatch):
+        X, y = TestRedraw().design()
+        cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
+                            seed=0)
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES))
+        before = threading.active_count()
+        with pytest.raises(SingularMatrixError, match="after 10 resamples"):
+            perturb_n(y, X, cfg)
+        self.assert_one_joined(started, before)
+
+    def test_concurrent_calls_match_serial_ones(self, monkeypatch, kg_design, kg_y):
+        # four calls at once, each with its own worker (eight threads on
+        # fewer cores), switching threads often: each returns the bytes
+        # of a serial call with no worker
+        cfgs = [PerturbConfig(iterations=500, seed=seed) for seed in (11, 12, 13, 14)]
+        serial = [perturb_n(kg_y, kg_design, cfg) for cfg in cfgs]
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", 1 << 15)  # 29 draws a block
+        barrier, results = threading.Barrier(len(cfgs)), [None] * len(cfgs)
+
+        def run(i):
+            barrier.wait()
+            results[i] = perturb_n(kg_y, kg_design, cfgs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert got.achieved_pct.tobytes() == want.achieved_pct.tobytes()
+            assert got.change_pct.tobytes() == want.change_pct.tobytes()

@@ -174,3 +174,16 @@ class TestFactorOnce:
                             lambda *args: pytest.fail("least_squares called"))
         perturb_n(kg_y, kg_design, PerturbConfig(iterations=7, seed=1))
         assert factored == [1, 7]  # the baseline, then one block of 7 draws
+
+    def test_ols_fit_inverts_R_once(self, monkeypatch, kg_design, kg_y):
+        # the gate's R_k^-1 gives se as well: one inverse, of a 1-stack
+        shapes = []
+
+        def counted(a, _fn=np.linalg.inv):
+            shapes.append(np.shape(a))
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        fit = ols_fit(kg_y, kg_design)
+        assert shapes == [(1, kg_design.k, kg_design.k)]
+        assert np.isfinite(fit.se).all()
