@@ -369,7 +369,7 @@ COMMANDS = {
     "cns": lambda X, ds, args, th: _cns_result(cns(X), th),
     "ki": lambda X, ds, args, th: _stewart_result(stewart_index(X)),
     "cv": lambda X, ds, args, th: _cv_result(coefficients_of_variation(X), th),
-    "slm": lambda X, ds, args, th: _slm_result(slm(X, th), th),
+    "slm": lambda X, ds, args, th: _slm_result(slm(X), th),
     "multicol": lambda X, ds, args, th: _multicol_result(multicol(X, th), th),
     "ols": lambda X, ds, args, th: _ols_result(response_vector(ds), X, args.alpha),
     "perturb": lambda X, ds, args, th: _perturb_result(response_vector(ds), X, args),

@@ -86,12 +86,6 @@ class Dataset:
     def n(self) -> int:
         return self.columns[0].values.size
 
-    def column(self, label: str) -> Column:
-        for c in self.columns:
-            if c.label == label:
-                return c
-        raise KeyError(f"no column labeled {label!r}")
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
@@ -144,10 +138,6 @@ class DesignMatrix:
     @property
     def quantitative_labels(self) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in self.quantitative_idx)
-
-    @property
-    def dummy_labels(self) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in self.dummy_idx)
 
     @property
     def non_intercept_idx(self) -> tuple[int, ...]:

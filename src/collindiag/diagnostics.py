@@ -378,6 +378,7 @@ def coefficient_of_variation(col) -> float:
     x = np.asarray(col, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a nonempty vector")
+    linalg._check_finite(x)
     (cv,), (centered,) = _cvs(x[None].copy())
     if centered:
         raise ValueError(CENTERED_CV_MESSAGE)
@@ -412,7 +413,7 @@ def proportion_of_ones(col) -> float:
     return float(100.0 * np.count_nonzero(x == 1.0) / x.size)
 
 
-def slm(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SlmReport:
+def slm(X: DesignMatrix) -> SlmReport:
     """Diagnostics for the simple linear model: intercept plus exactly
     one regressor.
 
@@ -445,7 +446,7 @@ def multicol(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS):
     explained in notes.
     """
     if X.k == 2 and X.intercept_present:
-        return slm(X, thresholds)
+        return slm(X)
 
     q = len(X.quantitative_idx)
     needs = {  # section: (its note when X lacks the columns it needs, whether X has them)

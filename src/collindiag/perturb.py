@@ -95,6 +95,7 @@ def perturb_column(x, tol: float, r) -> np.ndarray:
     rv = np.array(r, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have the same shape")
+    linalg._check_finite(xv)
     return xv + _scale_noise(rv, tol, xv)
 
 
@@ -160,14 +161,12 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     worked in blocks of about _BLOCK_BYTES.  Each block's noise is one
     rng.standard_normal fill, scaled by noise_sd and shifted by
     noise_mean, draw-major then column order: the stream and values of
-    one rng.normal call per column per draw.  From the second block on,
-    one worker thread draws and builds block j + 1 while this thread
-    refits block j; only the worker touches rng while a block is in
-    flight, and a block it has not begun when it is needed is built here
-    instead.  A draw failing the singular cut is redrawn right after its
-    block's noise, up to _MAX_RETRIES attempts in all: the block drawn
-    ahead is discarded, rng is set back to its state before that block,
-    and the block is drawn again after the redraws."""
+    one rng.normal call per column per draw.  While this thread refits
+    block j, one worker thread draws and builds block j + 1; a block it
+    has not begun when it is needed is built here instead.  Draws failing
+    the singular cut are redrawn in order once the worker is joined, each
+    up to _MAX_RETRIES attempts in all, so only the worker reads rng while
+    a block is in flight and the block size changes no bit."""
     sel = list(_selected_columns(X, cfg))
     (n, k), s = X.X.shape, len(sel)
     beta = linalg._fit(X.X, yv)[0]
@@ -206,52 +205,30 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         beta_p, singular, _, _ = linalg._qr_fit(A[:c].transpose(0, 2, 1), k)
         return 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
-    achieved, change, resamples = np.empty(count), np.empty(count), 0
-    start, stop = bounds[0]
-    achieved[start:stop] = build(designs[0], stop - start)
-    worker = ThreadPoolExecutor(max_workers=1) if len(bounds) > 1 else None
-
-    def draw_ahead(b):
-        """Start block b on the worker: (rng state before it, future), or
-        None past the last block.  The worker thread starts on the first."""
-        if b == len(bounds):
-            return None
-        start, stop = bounds[b]
-        return rng.bit_generator.state, worker.submit(build, designs[b % 2], stop - start)
-
-    try:
-        ahead = draw_ahead(1) if worker else None
+    achieved, change, singular, ahead = np.empty(count), np.empty(count), [], None
+    with ThreadPoolExecutor(max_workers=1) as worker:  # its thread starts on the first submit
         for b, (start, stop) in enumerate(bounds):
             A = designs[b % 2]
-            if b:
-                # a block the worker has not begun is built here: a worker
-                # not yet scheduled does not hold up the refits
-                drawn = ahead[1]
-                achieved[start:stop] = build(A, stop - start) if drawn.cancel() else drawn.result()
-                ahead = draw_ahead(b + 1)
-            change[start:stop], singular = refit(A, stop - start)
-            if not singular.any():
-                continue
-            if ahead is not None:  # the block drawn ahead took the redraws' noise
-                state, drawn = ahead
-                drawn.exception()  # waits; the block and any error it raised are dropped
-                rng.bit_generator.state = state
-            for i in start + np.flatnonzero(singular):
-                for attempt in range(1, _MAX_RETRIES + 1):
-                    log.warning("perturbed design singular; resampling (attempt %d)", attempt)
-                    if attempt == _MAX_RETRIES:
-                        raise linalg.SingularMatrixError(
-                            f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
-                    resamples += 1
-                    achieved[i] = build(A, 1)[0]
-                    change[i:i + 1], (again,) = refit(A, 1)
-                    if not again:
-                        break
-            if ahead is not None:
-                ahead = draw_ahead(b + 1)
-    finally:
-        if worker is not None:
-            worker.shutdown()  # waits for a block in flight, which only an error leaves unread
+            # a block the worker has not begun is built here: a worker not
+            # yet scheduled does not hold up the refits
+            achieved[start:stop] = (build(A, stop - start) if ahead is None or ahead.cancel()
+                                    else ahead.result())
+            if stop < count:
+                ahead = worker.submit(build, designs[(b + 1) % 2], min(size, count - stop))
+            change[start:stop], failed = refit(A, stop - start)
+            singular.extend(start + np.flatnonzero(failed))
+    resamples = 0
+    for i in singular:
+        for attempt in range(1, _MAX_RETRIES + 1):
+            log.warning("perturbed design singular; resampling (attempt %d)", attempt)
+            if attempt == _MAX_RETRIES:
+                raise linalg.SingularMatrixError(
+                    f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
+            resamples += 1
+            achieved[i] = build(designs[0], 1)[0]
+            change[i:i + 1], (again,) = refit(designs[0], 1)
+            if not again:
+                break
     return achieved, change, resamples
 
 
@@ -275,8 +252,9 @@ def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     thread refits the current one, so the call may use a second core
     whatever the BLAS thread count; the worker is joined before the call
     returns or raises.  The same seed always reproduces the result bit
-    for bit, and the draws match those of one rng.normal call per column
-    per draw as long as no draw is resampled.
+    for bit, whatever the block size; the draws match those of one
+    rng.normal call per column per draw, and resampled draws take the
+    stream after the last one.
     """
     rng = np.random.default_rng(cfg.seed)
     achieved, change, resamples = _draws(np.asarray(y, dtype=float), X, cfg, rng, cfg.iterations)

@@ -311,6 +311,11 @@ class TestCoefficientOfVariation:
         with pytest.raises(ValueError, match="centered"):
             coefficient_of_variation([-1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_rejected(self, bad):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            coefficient_of_variation([1.0, bad])
+
     def test_per_regressor_entries_with_none_for_centered(self, theil_design):
         assert coefficients_of_variation(theil_design) == (
             ("income", coefficient_of_variation(theil_design.X[:, 1])),

@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -66,6 +65,11 @@ class TestPerturbColumn:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             perturb_column(np.ones(3), 0.01, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_rejected(self, bad):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            perturb_column(np.array([1.0, bad, 2.0]), 0.01, np.ones(3))
 
 
 class TestPerturbConfig:
@@ -196,17 +200,18 @@ class TestPerturbN:
 
 
 class StubRng:
-    """Hands out the given noise arrays in turn, one per standard_normal()
-    fill; its bit_generator's state is its place in that queue.  With
-    noise_mean 0 and noise_sd 1, the arrays are the noise verbatim."""
+    """Hands out the values of the given noise arrays in order, as many
+    per standard_normal() fill as it fills, and counts its fills.  With
+    noise_mean 0 and noise_sd 1, the values are the noise verbatim."""
 
     def __init__(self, *noise):
-        self.noise = [np.array(r, dtype=float) for r in noise]
-        self.bit_generator = types.SimpleNamespace(state=0)
+        self.noise = np.concatenate([np.ravel(r) for r in noise]).astype(float)
+        self.used = self.fills = 0
 
     def standard_normal(self, *, out):
-        out[...] = self.noise[self.bit_generator.state].reshape(out.shape)
-        self.bit_generator.state += 1
+        out[...] = self.noise[self.used:self.used + out.size].reshape(out.shape)
+        self.used += out.size
+        self.fills += 1
         return out
 
 
@@ -317,9 +322,9 @@ class TestRedraw:
         assert_array_equal(res.achieved_pct, [a for a, _ in expected])
         assert_array_equal(res.change_pct, [c for _, c in expected])
 
-    def test_redraw_reads_the_stream_before_the_block_drawn_ahead(self, monkeypatch):
-        # three one-draw blocks: draw 1 is singular, and the worker draws
-        # block 2 ahead of its redraw; the redraw must still read r_1, not r_2
+    def test_redraw_reads_the_stream_after_the_last_block(self, monkeypatch):
+        # three one-draw blocks: draw 1 is singular, and its redraw reads
+        # the stream only after blocks 2 and 3 have taken r_2 and r_3
         X, y = self.design()
         r_1, r_2, r_3 = np.random.default_rng(7).normal(size=(3, X.n))
         cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
@@ -327,11 +332,27 @@ class TestRedraw:
         expected = [perturb_once(y, X, cfg, StubRng(r)) for r in (r_1, r_2, r_3)]
         monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
         monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: StubRng(-X.X[:, 1], r_1, r_2, r_3))
+                            lambda seed: StubRng(-X.X[:, 1], r_2, r_3, r_1))
         res = perturb_n(y, X, cfg)
         assert res.resamples == 1
         assert_array_equal(res.achieved_pct, [a for a, _ in expected])
         assert_array_equal(res.change_pct, [c for _, c in expected])
+
+    def test_block_size_leaves_every_bit_of_a_redraw(self, monkeypatch):
+        # one stream, read as three one-draw blocks and as one block
+        X, y = self.design()
+        r_1, r_2, r_3 = np.random.default_rng(8).normal(size=(3, X.n))
+        cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
+                            seed=0)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: StubRng(-X.X[:, 1], r_2, r_3, r_1))
+        runs = []
+        for block in (one_draw_blocks(X, cfg), 1 << 40):
+            monkeypatch.setattr(perturb, "_BLOCK_BYTES", block)
+            runs.append(perturb_n(y, X, cfg))
+        assert runs[0].resamples == runs[1].resamples == 1
+        assert runs[0].achieved_pct.tobytes() == runs[1].achieved_pct.tobytes()
+        assert runs[0].change_pct.tobytes() == runs[1].change_pct.tobytes()
 
     def test_singular_on_every_attempt_raises(self):
         X, y = self.design()
@@ -339,7 +360,7 @@ class TestRedraw:
         cfg = PerturbConfig(tol=1.0, noise_mean=0.0, noise_sd=1.0, positions=(1,))
         with pytest.raises(SingularMatrixError, match="after 10 resamples"):
             perturb_once(y, X, cfg, stub)
-        assert stub.bit_generator.state == len(stub.noise)
+        assert stub.fills == perturb._MAX_RETRIES and stub.used == stub.noise.size
 
     def test_no_resamples_on_regular_draws(self, kg_design, kg_y):
         assert perturb_n(kg_y, kg_design, PerturbConfig(iterations=20, seed=1)).resamples == 0
@@ -466,8 +487,9 @@ class TestWorker:
         cfg = PerturbConfig(tol=1.0, iterations=3, noise_mean=0.0, noise_sd=1.0, positions=(1,),
                             seed=0)
         monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
+        # three singular blocks, then the nine redraws of the first draw
         monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES))
+                            lambda seed: StubRng(*[-X.X[:, 1]] * (3 + perturb._MAX_RETRIES - 1)))
         before = threading.active_count()
         with pytest.raises(SingularMatrixError, match="after 10 resamples"):
             perturb_n(y, X, cfg)
