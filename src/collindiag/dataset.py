@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
+
 __all__ = [
     "ColumnRole",
     "Column",
@@ -154,7 +156,7 @@ class DesignMatrix:
         products of the same block of X.  Caching is safe because X is
         a read-only copy; so is R.
         """
-        R = np.linalg.qr(self.X, mode="r")
+        R = linalg._r_factor(self.X)
         R.flags.writeable = False
         return R
 

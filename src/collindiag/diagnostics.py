@@ -237,7 +237,7 @@ def _centered_factor(X: DesignMatrix) -> np.ndarray:
     if X.intercept_present:
         return np.linalg.qr(X.factors.take(_intercept_quant_cols(X), axis=1), mode="r")[1:, 1:]
     Q = X.X[:, list(X.quantitative_idx)]
-    return np.linalg.qr(Q - Q.mean(axis=0), mode="r")
+    return linalg._r_factor(Q - Q.mean(axis=0))
 
 
 def _pearson(T: np.ndarray) -> tuple[np.ndarray, float]:

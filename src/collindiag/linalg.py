@@ -22,6 +22,13 @@ covers the computed inverse's relative error (about k * cond * eps, at
 most ~1e-4 below the gate) and the SVD's own rounding (a few eps *
 s_max), so the gate and the SVD give the same verdict on every design it
 decides.
+
+Every QR of n-row data goes through _r_factor.  A narrow Householder QR
+makes one pass over its matrix per column, so a matrix of four or more
+row panels of about _PANEL_BYTES (128 KiB, from an in-process sweep) is
+factored in cache as a one-level tall-skinny QR, which is as backward
+stable.  Its R differs in rounding and in its row signs, in which R is
+unique only anyway; no consumer of R reads them.
 """
 
 import numpy as np
@@ -35,6 +42,7 @@ __all__ = [
 
 SINGULAR_MESSAGE = "exact or near-exact multicollinearity: design numerically rank deficient"
 _GATE_MARGIN = 1e-4  # a derived error bound, not a setting: see the module docstring
+_PANEL_BYTES = 1 << 17  # rows of a tall QR are factored in panels of about this size
 
 
 class SingularMatrixError(ValueError):
@@ -75,6 +83,19 @@ def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:
     return (s.shape[-1] < k) | (s[..., -1] <= max(n, k) * np.finfo(float).eps * s[..., 0])
 
 
+def _r_factor(A: np.ndarray) -> np.ndarray:
+    """R of each matrix in the stack A, as np.linalg.qr(A, mode="r") up to
+    row signs and rounding; below four panels, that very call."""
+    (n, m), stack = A.shape[-2:], A.shape[:-2]
+    p = n // max(_PANEL_BYTES // (8 * m), 4 * m) if m else 0  # panels: cache-sized, >= 4m rows
+    if p < 4:
+        return np.linalg.qr(A, mode="r")
+    h = n // p  # the n - p * h leftover rows are fewer than p
+    R = np.linalg.qr(A[..., :p * h, :].reshape(*stack, p, h, m), mode="r")  # a view of A
+    return np.linalg.qr(np.concatenate([R.reshape(*stack, p * m, m), A[..., p * h:, :]], -2),
+                        mode="r")
+
+
 def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each n x (k+1) matrix [X | y] in the stack A: the least squares
     coefficients of y on X, from one stacked QR, whether X fails the
@@ -88,7 +109,7 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
     _check_finite(A)
-    R = np.linalg.qr(A, mode="r")
+    R = _r_factor(A)
     Rk = R[:, :k, :k]
     singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
     ok = np.flatnonzero(~singular)

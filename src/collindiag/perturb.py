@@ -91,6 +91,7 @@ class PerturbResult:
 
 def perturb_column(x, tol: float, r) -> np.ndarray:
     """Perturb x along direction r so that ||x_p - x|| / ||x|| = tol."""
+    PerturbConfig(tol=tol)  # tol must be finite and nonnegative, as in a config
     xv = np.asarray(x, dtype=float)
     rv = np.array(r, dtype=float)
     if xv.shape != rv.shape:

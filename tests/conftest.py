@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from collindiag import Dataset, design_matrix, fixture, response_vector
+from collindiag import Dataset, design_matrix, fixture, linalg, response_vector
 
 
 @pytest.fixture(scope="session")
@@ -83,11 +83,22 @@ def random_design(rng: np.random.Generator, n_quant=None, n=None, with_dummy=Fal
 
 def count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
     """Record (name, shape of the argument) for every np.linalg.qr and
-    np.linalg.svd call from now on."""
+    np.linalg.svd call from now on.  A linalg._r_factor call that factors
+    its rows in panels is one ("panel qr", shape of the argument) entry in
+    place of its two stacked QRs, so it counts as one n-row factorization."""
     calls = []
     for name in ("qr", "svd"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def r_factor(A, _fn=linalg._r_factor):
+        start = len(calls)
+        R = _fn(A)
+        if len(calls) > start + 1:  # the panels, then their stacked R factors
+            calls[start:] = [("panel qr", np.shape(A))]
+        return R
+
+    monkeypatch.setattr(linalg, "_r_factor", r_factor)
     return calls

@@ -12,12 +12,14 @@ from collindiag import (
     stewart_index,
     vif,
 )
+from collindiag import linalg
 from collindiag.linalg import (
     SingularMatrixError,
     _inverse_diag,
     _norms,
     _past_cut,
     _qr_fit,
+    _r_factor,
     least_squares,
     scaled_svd,
     unit_length_scale,
@@ -268,6 +270,74 @@ class TestLeastSquares:
             least_squares(X, y)
 
 
+def panel_threshold(m: int) -> int:
+    """The fewest rows with which an m-column matrix takes panels in _r_factor."""
+    return 4 * max(linalg._PANEL_BYTES // (8 * m), 4 * m)
+
+
+def layouts(A: np.ndarray) -> dict[str, np.ndarray]:
+    """The same stack of n x m matrices as C-ordered, F-ordered and
+    perturb-style (a C-ordered (c, m, n) buffer, transposed) arrays."""
+    return {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A),
+            "transposed": np.ascontiguousarray(A.transpose(0, 2, 1)).transpose(0, 2, 1)}
+
+
+class TestRFactor:
+    """_r_factor is np.linalg.qr(A, mode="r") up to row signs and rounding,
+    and that very call below the panel threshold."""
+
+    M = 21  # the perturb_wide [X | y]
+
+    # rows past the threshold: -1 takes the plain QR; 3 leaves 3 rows over
+    # from 4 panels, and 1577 leaves 5 over from 6
+    @pytest.mark.parametrize("rows", [-1, 0, 3, 1577])
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_matches_plain_qr_on_both_sides_of_the_threshold(self, rows, layout):
+        n = panel_threshold(self.M) + rows
+        rng = np.random.default_rng(n)
+        A = layouts(rng.normal(rng.uniform(-3, 3, self.M), rng.uniform(0.1, 10, self.M),
+                               (3, n, self.M)))[layout]
+        before = A.copy()
+        R, plain = _r_factor(A), np.linalg.qr(A, mode="r")
+        assert np.array_equal(A, before)  # the input is never modified
+        if rows < 0:
+            assert np.array_equal(R, plain)
+            return
+        assert R.shape == plain.shape and np.array_equal(R, np.triu(R))
+        # R is unique up to row signs: |R| agrees within 2 M eps ||A||_2 (~2 eps measured)
+        bound = 2 * self.M * np.finfo(float).eps * np.linalg.norm(A, 2, axis=(1, 2))
+        assert (np.abs(np.abs(R) - np.abs(plain)).max(axis=(1, 2)) <= bound).all()
+
+    def test_panels_are_a_view_and_the_second_level_is_small(self, monkeypatch):
+        n = panel_threshold(self.M) + 3
+        A = layouts(np.random.default_rng(4).normal(size=(2, n, self.M)))["transposed"]
+        seen = []
+
+        def qr(a, mode, _fn=np.linalg.qr):
+            seen.append((np.shape(a), np.shares_memory(a, A)))
+            return _fn(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        _r_factor(A)
+        # four panels, viewed in A; then their R factors and the 3 leftover rows
+        h = panel_threshold(self.M) // 4
+        assert seen == [((2, 4, h, self.M), True), ((2, 4 * self.M + 3, self.M), False)]
+
+    def test_zero_column_gives_a_zero_column_and_is_named(self):
+        n = panel_threshold(5) + 3
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, 5))
+        X[:, 2] = 0.0
+        R = _r_factor(X[None])
+        assert not np.array_equal(R, np.linalg.qr(X[None], mode="r"))  # panels were taken
+        assert np.array_equal(R[0, :, 2], np.zeros(5))
+        with pytest.raises(SingularMatrixError, match="column 2 has zero norm"):
+            least_squares(X[:, :4], X[:, 4])
+
+    def test_no_columns(self):
+        assert _r_factor(np.empty((10 ** 6, 0))).shape == (0, 0)
+
+
 def svd_every_draw_qr_fit(A, k):
     """_qr_fit without the gate: the scaled SVD of every draw with no zero pivot."""
     R = np.linalg.qr(A, mode="r")
@@ -286,16 +356,16 @@ GATE_N, GATE_K = 20, 4
 CUT_CN = 1.0 / (GATE_N * np.finfo(float).eps)  # the scaled CN at the singular cut
 
 
-def stacked_designs(cns, seed=0):
+def stacked_designs(cns, seed=0, n=GATE_N):
     """[X | y] for each cn: X = U diag(s) V' with s from 1 down to 1/cn,
     then each column scaled by 10^u, u uniform in [-8, 8]."""
     rng = np.random.default_rng(seed)
-    A = np.empty((len(cns), GATE_N, GATE_K + 1))
+    A = np.empty((len(cns), n, GATE_K + 1))
     for i, cn in enumerate(cns):
-        U = np.linalg.qr(rng.normal(size=(GATE_N, GATE_K)))[0]
+        U = np.linalg.qr(rng.normal(size=(n, GATE_K)))[0]
         V = np.linalg.qr(rng.normal(size=(GATE_K, GATE_K)))[0]
         X = (U * np.geomspace(1.0, 1.0 / cn, GATE_K)) @ V.T * 10.0 ** rng.uniform(-8, 8, GATE_K)
-        A[i, :, :GATE_K], A[i, :, GATE_K] = X, X @ rng.normal(size=GATE_K) + rng.normal(size=GATE_N)
+        A[i, :, :GATE_K], A[i, :, GATE_K] = X, X @ rng.normal(size=GATE_K) + rng.normal(size=n)
     return A
 
 
@@ -327,6 +397,24 @@ class TestQrFitGate:
         assert singular[:3].all()
         assert 50 <= singular.sum() <= len(A) - 200
 
+    def test_same_flags_as_svd_on_every_draw_when_panels_are_taken(self):
+        # draws tall enough to take panels, whose R differs from the oracle's
+        # plain QR in rounding: the flags agree, and beta to the conditioning
+        n = panel_threshold(GATE_K + 1) + 3
+        cut = 1.0 / (n * np.finfo(float).eps)
+        cns = np.concatenate([np.geomspace(1.0, 1e17, 12), np.geomspace(cut / 10, cut * 10, 24)])
+        A = layouts(stacked_designs(cns, seed=2, n=n))["transposed"]
+        A[0, :, 2] = 0.0  # a zero pivot
+        A[1, :, 3] = A[1, :, 1]  # a duplicated column
+        beta, singular, _, _ = _qr_fit(A, GATE_K)
+        want_beta, want_singular, _ = svd_every_draw_qr_fit(A, GATE_K)
+        assert np.array_equal(singular, want_singular)
+        assert singular[:2].all() and 10 <= singular.sum() <= len(A) - 10
+        ok = ~singular
+        scaled = np.array([numpy_scaled_singular_values(a[:, :GATE_K]) for a in A[ok]])
+        err = np.abs(beta[ok] - want_beta[ok]).max(axis=1) / np.abs(want_beta[ok]).max(axis=1)
+        assert (err <= 1e3 * np.finfo(float).eps * scaled[:, 0] / scaled[:, -1]).all()
+
     def test_all_singular_stack(self, monkeypatch):
         A = stacked_designs(np.ones(5))
         A[:, :, 1] = 0.0
@@ -351,6 +439,58 @@ class TestQrFitGate:
         perturb_n(kg_y, kg_design, PerturbConfig(iterations=5000, seed=1))
         # the baseline fit is gated like the draws
         assert [c for c in calls if c[0] == "svd"] == []
+
+
+class TestRowSigns:
+    """R is unique only up to the signs of its rows, and panels change them:
+    every consumer of R gives the same numbers whatever they are."""
+
+    @staticmethod
+    def flip_rows(monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+
+        def flipped(A, _fn=linalg._r_factor):
+            R = _fn(A)
+            return R * rng.choice([-1.0, 1.0], size=R.shape[:-1])[..., None]
+
+        monkeypatch.setattr(linalg, "_r_factor", flipped)
+
+    @staticmethod
+    def measures(X: DesignMatrix, y) -> dict[str, np.ndarray]:
+        X = DesignMatrix(X.X, X.intercept_present, X.quantitative_idx, X.dummy_idx, X.labels)
+        cn, corr, fit = cns(X), correlation_matrix(X), ols_fit(y, X)
+        return {"cn": [cn.cn_with, cn.cn_without], "vif": [v for _, v in vif(X)],
+                "r": corr.r, "det_r": corr.det_r, "k2": stewart_index(X).k2,
+                "sigma": fit.sigma, "se": fit.se}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_factors_and_ols_fit(self, monkeypatch, kg_design, kg_y, seed):
+        rng = np.random.default_rng(seed)
+        tall = random_design(rng, n=panel_threshold(6) + 3, n_quant=4, with_dummy=True)
+        for X, y in ((kg_design, kg_y), (tall, tall.X @ rng.normal(size=tall.k) + rng.normal(
+                size=tall.n))):
+            want = self.measures(X, y)
+            self.flip_rows(monkeypatch, seed)
+            got = self.measures(X, y)
+            monkeypatch.undo()
+            for name in want:
+                assert_allclose(got[name], want[name], rtol=1e-14, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_qr_fit_gate_cut_and_beta(self, monkeypatch, seed):
+        cns = np.geomspace(1.0, 1e3, 60)
+        cns[::3] = np.geomspace(CUT_CN / 10, CUT_CN * 10, 20)
+        A = stacked_designs(cns, seed=seed)
+        A[0, :, 2] = 0.0
+        want_calls = count_factorizations(monkeypatch)
+        want_beta, want_singular, _, _ = _qr_fit(A, GATE_K)
+        monkeypatch.undo()
+        self.flip_rows(monkeypatch, seed)
+        calls = count_factorizations(monkeypatch)
+        beta, singular, _, _ = _qr_fit(A, GATE_K)
+        assert calls == want_calls  # the same draws reach the SVD
+        assert np.array_equal(singular, want_singular) and singular[0]
+        assert_allclose(beta, want_beta, rtol=1e-14, atol=0)
 
 
 class TestScaleInvariance:

@@ -71,6 +71,15 @@ class TestPerturbColumn:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             perturb_column(np.array([1.0, bad, 2.0]), 0.01, np.ones(3))
 
+    @pytest.mark.parametrize("tol, match", [(math.nan, "tol must be finite"),
+                                            (math.inf, "tol must be finite"),
+                                            (-1.0, "tol must be nonnegative")])
+    def test_tol_checked_as_in_the_config(self, tol, match):
+        with pytest.raises(ValueError, match=match):
+            PerturbConfig(tol=tol)
+        with pytest.raises(ValueError, match=match):
+            perturb_column(np.array([3.0, 4.0]), tol, np.array([1.0, 0.0]))
+
 
 class TestPerturbConfig:
     def test_defaults(self):

@@ -19,6 +19,7 @@ from collindiag import (
 )
 from collindiag import linalg
 
+from conftest import count_factorizations
 from test_properties import aux_regression_vif
 
 
@@ -174,6 +175,23 @@ class TestFactorOnce:
                             lambda *args: pytest.fail("least_squares called"))
         perturb_n(kg_y, kg_design, PerturbConfig(iterations=7, seed=1))
         assert factored == [1, 7]  # the baseline, then one block of 7 draws
+
+    @pytest.mark.parametrize("call", ["multicol", "ols_fit"])
+    def test_a_tall_design_is_one_panel_factorization(self, monkeypatch, call):
+        # n = 1e4 rows of 11 and 12 columns take panels; no plain n-row QR beside them
+        n = 10_000
+        rng = np.random.default_rng(10)
+        X = np.column_stack([np.ones(n), rng.normal(rng.uniform(1, 3, 10), 1.0, (n, 10))])
+        design = DesignMatrix(X=X, intercept_present=True, quantitative_idx=tuple(range(1, 11)),
+                              dummy_idx=(), labels=("intercept",) + tuple("abcdefghij"))
+        calls = count_factorizations(monkeypatch)
+        if call == "multicol":
+            multicol(design)
+            want = ("panel qr", (n, 11))
+        else:
+            ols_fit(X @ rng.normal(size=11) + rng.normal(size=n), design)
+            want = ("panel qr", (1, n, 12))
+        assert [c for c in calls if n in c[1]] == [want]
 
     def test_ols_fit_inverts_R_once(self, monkeypatch, kg_design, kg_y):
         # the gate's R_k^-1 gives se as well: one inverse, of a 1-stack
