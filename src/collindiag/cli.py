@@ -75,26 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sub.add_parser("rdetr", parents=[common],
-                   help="correlation matrix of quantitative regressors and det(R)")
-    sub.add_parser("vif", parents=[common], help="variance inflation factors")
-    sub.add_parser("cn", parents=[common], help="condition number of the design")
-    sub.add_parser("cns", parents=[common],
-                   help="condition numbers with and without intercept")
-    sub.add_parser("ki", parents=[common],
-                   help="Stewart indexes and the essential/nonessential split")
-    sub.add_parser("cv", parents=[common],
-                   help="coefficients of variation of quantitative regressors")
-    sub.add_parser("slm", parents=[common],
-                   help="simple linear model diagnostics (intercept + one regressor)")
-    sub.add_parser("multicol", parents=[common], help="every applicable measure at once")
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
 
-    p_ols = sub.add_parser("ols", parents=[common], help="OLS fit with inference summary")
-    p_ols.add_argument("--alpha", type=float, default=0.05,
-                       help="significance level for the contradiction verdict")
+    sub.choices["ols"].add_argument("--alpha", type=float, default=0.05,
+                                    help="significance level for the contradiction verdict")
 
-    p_pert = sub.add_parser("perturb", parents=[common],
-                            help="Monte Carlo perturbation of quantitative regressors")
+    p_pert = sub.choices["perturb"]
     p_pert.add_argument("--tol", type=float, default=0.01,
                         help="relative perturbation magnitude")
     p_pert.add_argument("--iterations", type=int, default=5000)
@@ -229,7 +216,7 @@ def _cns_result(rep, th: Thresholds):
 def _stewart_result(rep):
     lines = ["Stewart index", *_value_rows(list(zip(rep.labels, rep.k2)))]
     if rep.essential_pct is not None:
-        quant = [l for l in rep.labels if l != "intercept"]
+        quant = rep.labels[-len(rep.essential_pct):]
         lines += ["", "Proportion of essential collinearity (in percentage)"]
         lines += _value_rows(list(zip(quant, rep.essential_pct)))
         lines += ["", "Proportion of non-essential collinearity (in percentage)"]
@@ -239,8 +226,6 @@ def _stewart_result(rep):
 
 
 def _cv_result(entries, th: Thresholds):
-    if not entries:
-        raise ValueError("no quantitative regressors; nothing to compute a CV for")
     flagged = [(label, v) for label, v in entries if v is not None and v < th.cv_limit]
     result = {"cv": [{"label": label, "value": v, "below_limit": (label, v) in flagged}
                      for label, v in entries],
@@ -358,21 +343,31 @@ def _perturb_result(y, X, args):
     return result, lines, False
 
 
-# (X, ds, args, th) -> (result, text_lines, problematic) per subcommand.  Each
-# looks library functions up by module-global name at call time, so wrappers
-# set on this module's attributes (bench/spans.py traces so) see every call.
+# name -> (help, handler (X, ds, args, th) -> (result, text_lines, problematic)).
+# Handlers look library functions up by module-global name at call time, so
+# wrappers set on this module's attributes (bench/spans.py traces so) see every call.
 
 COMMANDS = {
-    "rdetr": lambda X, ds, args, th: _corr_result(correlation_matrix(X, th), th),
-    "vif": lambda X, ds, args, th: _vif_result(vif(X), th),
-    "cn": lambda X, ds, args, th: _cn_result(condition_number(X), th),
-    "cns": lambda X, ds, args, th: _cns_result(cns(X), th),
-    "ki": lambda X, ds, args, th: _stewart_result(stewart_index(X)),
-    "cv": lambda X, ds, args, th: _cv_result(coefficients_of_variation(X), th),
-    "slm": lambda X, ds, args, th: _slm_result(slm(X), th),
-    "multicol": lambda X, ds, args, th: _multicol_result(multicol(X, th), th),
-    "ols": lambda X, ds, args, th: _ols_result(response_vector(ds), X, args.alpha),
-    "perturb": lambda X, ds, args, th: _perturb_result(response_vector(ds), X, args),
+    "rdetr": ("correlation matrix of quantitative regressors and det(R)",
+              lambda X, ds, args, th: _corr_result(correlation_matrix(X, th), th)),
+    "vif": ("variance inflation factors",
+            lambda X, ds, args, th: _vif_result(vif(X), th)),
+    "cn": ("condition number of the design",
+           lambda X, ds, args, th: _cn_result(condition_number(X), th)),
+    "cns": ("condition numbers with and without intercept",
+            lambda X, ds, args, th: _cns_result(cns(X), th)),
+    "ki": ("Stewart indexes and the essential/nonessential split",
+           lambda X, ds, args, th: _stewart_result(stewart_index(X))),
+    "cv": ("coefficients of variation of quantitative regressors",
+           lambda X, ds, args, th: _cv_result(coefficients_of_variation(X), th)),
+    "slm": ("simple linear model diagnostics (intercept + one regressor)",
+            lambda X, ds, args, th: _slm_result(slm(X), th)),
+    "multicol": ("every applicable measure at once",
+                 lambda X, ds, args, th: _multicol_result(multicol(X, th), th)),
+    "ols": ("OLS fit with inference summary",
+            lambda X, ds, args, th: _ols_result(response_vector(ds), X, args.alpha)),
+    "perturb": ("Monte Carlo perturbation of quantitative regressors",
+                lambda X, ds, args, th: _perturb_result(response_vector(ds), X, args)),
 }
 
 
@@ -381,7 +376,7 @@ def main(argv=None) -> int:
     try:
         th = _thresholds_from_env()
         ds = _load_dataset(args)
-        result, lines, problematic = COMMANDS[args.command](design_matrix(ds), ds, args, th)
+        result, lines, problematic = COMMANDS[args.command][1](design_matrix(ds), ds, args, th)
     except (ValueError, OSError) as exc:  # usage and data errors, unreadable files
         reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
         print(f"error: {reason}", file=sys.stderr)

@@ -55,6 +55,12 @@ class Column:
         object.__setattr__(self, "values", vals)
 
 
+def _check_unique(labels: tuple[str, ...]) -> None:
+    dup = sorted({l for l in labels if labels.count(l) > 1})
+    if dup:
+        raise ValueError(f"duplicate column labels: {dup}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Named columns with declared roles; immutable after construction."""
@@ -73,10 +79,7 @@ class Dataset:
             raise ValueError(f"columns have differing lengths: {sorted(lengths)}")
         if self.n < 2:
             raise ValueError("at least 2 observations are required")
-        labels = [c.label for c in self.columns]
-        if len(set(labels)) != len(labels):
-            dup = sorted({l for l in labels if labels.count(l) > 1})
-            raise ValueError(f"duplicate column labels: {dup}")
+        _check_unique(tuple(c.label for c in self.columns))
         responses = [c for c in self.columns if c.role is ColumnRole.RESPONSE]
         if len(responses) > 1:
             raise ValueError("more than one response column declared")
@@ -120,6 +123,7 @@ class DesignMatrix:
         n, k = X.shape
         if len(self.labels) != k:
             raise ValueError(f"{len(self.labels)} labels for {k} columns")
+        _check_unique(self.labels)
         claimed = set(self.quantitative_idx) | set(self.dummy_idx)
         if self.intercept_present:
             if k == 0 or not np.array_equal(X[:, 0], np.ones(n)):
@@ -192,7 +196,7 @@ _NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|inf(in
                      re.IGNORECASE)
 
 
-def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -> Dataset:
+def load_csv(path, roles, add_intercept: bool = True) -> Dataset:
     """Load a CSV file into a Dataset.
 
     roles maps column labels to ColumnRole (or its string value), or is a
@@ -238,7 +242,7 @@ def load_csv(path, roles, add_intercept: bool = True, name: str | None = None) -
         raise _not_utf8(path, "utf-8-sig") from None
 
     return Dataset(
-        name=name if name is not None else str(path),
+        name=str(path),
         columns=tuple(Column(header[j], roles[header[j]], data[:, j]) for j in used),
         add_intercept=add_intercept,
         skipped=tuple(label for label in header if label not in roles),

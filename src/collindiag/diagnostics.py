@@ -146,9 +146,10 @@ class StewartReport:
     """Stewart collinearity indexes k_i^2 and the essential split.
 
     k2 carries one entry per column of the intercept-plus-quantitative
-    submatrix (intercept first when present).  essential_pct and
-    nonessential_pct cover the quantitative entries only and are None
-    when fewer than two quantitative regressors exist.
+    submatrix (intercept first when present), labels the design's labels
+    of those columns.  essential_pct and nonessential_pct cover the
+    quantitative entries only, the last ones, and are None when fewer
+    than two quantitative regressors exist.
     """
 
     labels: tuple[str, ...]
@@ -211,12 +212,16 @@ def _intercept_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
     return (0, *X.quantitative_idx) if X.intercept_present else X.quantitative_idx
 
 
-def _quant_rows(X: DesignMatrix):
-    """Quantitative columns as contiguous rows, so means sum as a column's would; ~1 MiB a block."""
+@_once
+def _quant_stats(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range, coefficient of variation and centered flag (see _cvs) of each
+    quantitative column, in one pass over them: the columns are gathered
+    as contiguous rows, so means sum as a column's would, ~1 MiB a block."""
     quant = list(X.quantitative_idx)
     step = max(1, (1 << 20) // (8 * X.n))
-    for i in range(0, len(quant), step):
-        yield X.X.T[quant[i:i + step]]
+    blocks = (X.X.T[quant[i:i + step]] for i in range(0, len(quant), step))
+    stats = [(np.ptp(rows, axis=1), *_cvs(rows)) for rows in blocks]
+    return tuple(np.concatenate(parts) for parts in zip(*stats))
 
 
 @_once
@@ -230,7 +235,7 @@ def _centered_factor(X: DesignMatrix) -> np.ndarray:
     A zero-variance column has no correlation with anything and is
     rejected by name.
     """
-    ptp = np.concatenate([np.ptp(rows, axis=1) for rows in _quant_rows(X)])
+    ptp = _quant_stats(X)[0]
     if not ptp.all():  # the first zero is the first minimum
         label = X.quantitative_labels[ptp.argmin()]
         raise ValueError(f"quantitative column {label!r} has zero variance")
@@ -360,15 +365,15 @@ def stewart_index(X: DesignMatrix) -> StewartReport:
     q_labels = X.quantitative_labels
     if len(q_labels) < 1:
         raise ValueError(NEED_ONE_QUANTITATIVE)
-    labels = ("intercept",) + q_labels if X.intercept_present else q_labels
-    k2 = linalg._inverse_diag(*_block_svd(X, _intercept_quant_cols(X)))
+    cols = _intercept_quant_cols(X)
+    k2 = linalg._inverse_diag(*_block_svd(X, cols))
 
     essential = nonessential = None
     if len(q_labels) >= 2:
-        quant_k2 = k2[1:] if X.intercept_present else k2
-        essential = 100.0 * _vifs(X) / quant_k2
+        essential = 100.0 * _vifs(X) / k2[-len(q_labels):]
         nonessential = 100.0 - essential
-    return StewartReport(labels=labels, k2=k2, essential_pct=essential, nonessential_pct=nonessential)
+    return StewartReport(labels=tuple(X.labels[i] for i in cols), k2=k2,
+                         essential_pct=essential, nonessential_pct=nonessential)
 
 
 def coefficient_of_variation(col) -> float:
@@ -399,8 +404,10 @@ def coefficients_of_variation(X: DesignMatrix) -> tuple[tuple[str, float | None]
     """(label, coefficient of variation) for each quantitative regressor
     of X, in column order; None for a centered regressor, whose CV is
     undefined."""
-    cvs = [(float(v), c) for rows in _quant_rows(X) for v, c in zip(*_cvs(rows))]
-    return tuple((label, None if c else v) for label, (v, c) in zip(X.quantitative_labels, cvs))
+    if not X.quantitative_idx:
+        raise ValueError(NEED_ONE_QUANTITATIVE)
+    return tuple((label, None if c else float(v))
+                 for label, v, c in zip(X.quantitative_labels, *_quant_stats(X)[1:]))
 
 
 def proportion_of_ones(col) -> float:

@@ -36,7 +36,6 @@ class OLSFit:
     f_stat: float
     f_p: float
     residuals: np.ndarray
-    intercept_present: bool
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,6 @@ def t_cdf(x: float, df: float) -> float:
         raise ValueError("degrees of freedom must be positive")
     if math.isnan(x):
         return math.nan
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
     tail = 0.5 * _betainc(0.5 * df, 0.5, df / (df + x * x))
     return 1.0 - tail if x >= 0 else tail
 
@@ -142,16 +139,17 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
 def ols_fit(y, X: DesignMatrix) -> OLSFit:
     """Fit y on X by OLS and compute the full inference summary.
 
-    Requires an intercept (the total sum of squares is centered) and
-    more observations than columns.  One QR of [X | y] gives everything:
-    beta from its leading block R_k, sigma from |R[k, k]|, and each
-    standard error as sigma times a row norm of R_k^-1.  An exact fit
-    yields sigma = 0, R^2 = 1 and an infinite F statistic with p-value 0.
+    Requires an intercept (the total sum of squares is centered), a
+    regressor besides it, and more observations than columns.  One QR
+    of [X | y] gives everything: beta from its leading block R_k, sigma
+    from |R[k, k]|, and each standard error as sigma times a row norm of
+    R_k^-1.  An exact fit yields sigma = 0, R^2 = 1 and an infinite F
+    statistic with p-value 0.
     """
     yv = np.asarray(y, dtype=float)
     n, k = X.n, X.k
-    if not X.intercept_present:
-        raise ValueError("an intercept column is required for OLS inference")
+    if not X.intercept_present or k < 2:
+        raise ValueError("OLS inference needs an intercept column and a regressor besides it")
     if n <= k:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
 
@@ -169,8 +167,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
     se = sigma * linalg._norms(Rk_inv)  # cov = sigma^2 (R'R)^-1
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0.0, beta / np.where(se > 0.0, se, 1.0),
-                     np.sign(beta) * np.inf)
+        t = beta / se  # +-inf, or nan for a zero beta, where se = 0
     # two-sided p = I_x(df/2, 1/2) at x = df / (df + t^2): the upper tail
     # taken directly, so tiny p-values do not cancel against 1
     p = np.array([math.nan if math.isnan(ti)
@@ -198,7 +195,6 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
         f_stat=f_stat,
         f_p=f_p,
         residuals=residuals,
-        intercept_present=X.intercept_present,
     )
 
 
@@ -210,11 +206,7 @@ def significance_contradiction(fit: OLSFit, alpha: float = 0.05) -> Contradictio
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    start = 1 if fit.intercept_present else 0
-    coef_p = fit.p[start:]
-    if coef_p.size == 0:
-        raise ValueError("fit has no non-intercept coefficients")
-    min_p = float(coef_p.min())
+    min_p = float(fit.p[1:].min())  # ols_fit puts the intercept first, a regressor after it
     contradiction = fit.f_p < alpha and min_p >= alpha
     if contradiction:
         description = (

@@ -220,16 +220,16 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
             singular.extend(start + np.flatnonzero(failed))
     resamples = 0
     for i in singular:
-        for attempt in range(1, _MAX_RETRIES + 1):
+        for attempt in range(1, _MAX_RETRIES):  # _MAX_RETRIES draws in all, with the first
             log.warning("perturbed design singular; resampling (attempt %d)", attempt)
-            if attempt == _MAX_RETRIES:
-                raise linalg.SingularMatrixError(
-                    f"perturbed design stayed singular after {_MAX_RETRIES} resamples")
             resamples += 1
             achieved[i] = build(designs[0], 1)[0]
             change[i:i + 1], (again,) = refit(designs[0], 1)
             if not again:
                 break
+        else:
+            raise linalg.SingularMatrixError(
+                f"perturbed design stayed singular in {_MAX_RETRIES} draws")
     return achieved, change, resamples
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from collindiag import cli, cns, design_matrix, fixture, ols_fit, response_vector, vif
 from collindiag.cli import THRESHOLDS_ENV, main
+from collindiag.diagnostics import NEED_ONE_QUANTITATIVE
 
 
 def run(capsys, *argv):
@@ -207,6 +208,10 @@ class TestCsvErrors:
                                "--response", "y", "--quant", "a", "--quant", "b")
         assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
 
+    def test_data_column_named_intercept(self, capsys, tmp_path):
+        _, err = self.error(capsys, tmp_path, "intercept,a,b\n1,2,3\n4,5,7\n7,8,8\n")
+        assert err == "error: duplicate column labels: ['intercept']\n"
+
     def test_non_finite_cell(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")
         assert err == f"error: {path}:3: non-finite value 'nan' in column 'a'\n"
@@ -246,6 +251,25 @@ class TestReports:
         assert "Stewart index" in out
         assert "essential collinearity" in out
         assert "403.2096" in out
+
+    def test_ki_data_column_named_intercept(self, capsys, tmp_path):
+        # without the synthesized intercept, a data column may be named so
+        path = tmp_path / "d.csv"
+        path.write_text("intercept,x\n1,2\n2,1\n3,5\n4,3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "ki", "--data", str(path), "--no-intercept")
+        assert code == 0
+        lines = out.splitlines()
+        for title in ("Proportion of essential collinearity (in percentage)",
+                      "Proportion of non-essential collinearity (in percentage)"):
+            at = lines.index(title)
+            assert [row.split()[0] for row in lines[at + 1:at + 3]] == ["intercept", "x"]
+
+    def test_cv_without_quantitative_regressors(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("d\n0\n1\n1\n", encoding="utf-8")
+        code, out, err = run(capsys, "cv", "--data", str(path), "--dummy", "d")
+        assert (code, out) == (2, "")
+        assert err == f"error: {NEED_ONE_QUANTITATIVE}\n"
 
     def test_cv_flags_income(self, capsys):
         code, out, _ = run(capsys, "cv", "--fixture", "theil")

@@ -330,6 +330,12 @@ class TestDesignMatrix:
         assert X.X.shape == (17, 3)
         assert X.quantitative_idx == (0, 1)
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate column labels: \['x'\]$"):
+            DesignMatrix(X=np.column_stack([np.ones(3), np.arange(3.0), np.arange(3.0) ** 2]),
+                         intercept_present=True, quantitative_idx=(1, 2), dummy_idx=(),
+                         labels=("intercept", "x", "x"))
+
     def test_role_partition_enforced(self):
         with pytest.raises(ValueError, match="partition"):
             DesignMatrix(

@@ -254,6 +254,11 @@ class TestCns:
 
 
 class TestStewartIndex:
+    def test_labels_are_the_designs(self, theil_design):
+        X = DesignMatrix(theil_design.X, True, theil_design.quantitative_idx,
+                         theil_design.dummy_idx, ("const",) + theil_design.labels[1:])
+        assert stewart_index(X).labels == ("const", "income", "relprice")
+
     def test_theil(self, theil_design):
         rep = stewart_index(theil_design)
         assert rep.labels == ("intercept", "income", "relprice")
@@ -436,7 +441,7 @@ class TestSharedFactors:
         multicol(X)
         kept = [X.factors] + [a for value in X._shared.values()
                               for a in (value if isinstance(value, tuple) else (value,))]
-        assert len(kept) == 9  # R, three (s, Vt) pairs, T and the VIFs
+        assert len(kept) == 12  # R, three (s, Vt) pairs, T, the VIFs and the column stats
         assert not any(a.flags.writeable for a in kept)
         with pytest.raises(ValueError, match="read-only"):
             X.factors[0, 0] = 0.0

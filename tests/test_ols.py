@@ -168,6 +168,33 @@ class TestOlsFit:
         assert math.isnan(fit.t[0]) and math.isnan(fit.p[0])
         assert math.isinf(fit.t[1]) and fit.p[1] == 0.0
 
+    def test_exact_fit_statistics(self, monkeypatch):
+        # se = 0 everywhere: t = +-inf and p = 0 where beta != 0, nan where
+        # beta = 0; the F test saturates
+        x = np.arange(1.0, 8.0)
+        X = DesignMatrix(X=np.column_stack([np.ones(7), x, x * x]), intercept_present=True,
+                         quantitative_idx=(1, 2), dummy_idx=(), labels=("intercept", "x", "x2"))
+        fit_once = linalg._fit
+
+        def exact_fit(A, y):
+            _, R, Rk_inv = fit_once(A, y)
+            R = R.copy()
+            R[3, 3] = 0.0
+            return np.array([0.0, 3.0, -2.0]), R, Rk_inv
+
+        monkeypatch.setattr("collindiag.ols.linalg._fit", exact_fit)
+        fit = ols_fit(3.0 * x - 2.0 * x * x, X)
+        assert fit.se.tolist() == [0.0, 0.0, 0.0]
+        assert math.isnan(fit.t[0]) and fit.t[1:].tolist() == [math.inf, -math.inf]
+        assert math.isnan(fit.p[0]) and fit.p[1:].tolist() == [0.0, 0.0]
+        assert (fit.f_stat, fit.f_p) == (math.inf, 0.0)
+
+    def test_intercept_only_design_rejected(self):
+        X = DesignMatrix(X=np.ones((5, 1)), intercept_present=True, quantitative_idx=(),
+                         dummy_idx=(), labels=("intercept",))
+        with pytest.raises(ValueError, match="an intercept column and a regressor besides it"):
+            ols_fit(np.arange(5.0), X)
+
     def test_p_values_are_two_sided(self, kg_design, kg_y):
         fit = ols_fit(kg_y, kg_design)
         for ti, pi in zip(fit.t, fit.p):

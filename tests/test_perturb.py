@@ -367,9 +367,20 @@ class TestRedraw:
         X, y = self.design()
         stub = StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES)
         cfg = PerturbConfig(tol=1.0, noise_mean=0.0, noise_sd=1.0, positions=(1,))
-        with pytest.raises(SingularMatrixError, match="after 10 resamples"):
+        with pytest.raises(SingularMatrixError, match="stayed singular in 10 draws"):
             perturb_once(y, X, cfg, stub)
         assert stub.fills == perturb._MAX_RETRIES and stub.used == stub.noise.size
+
+    def test_redraw_limit_logs_each_redraw_taken(self, caplog):
+        X, y = self.design()
+        stub = StubRng(*[-X.X[:, 1]] * perturb._MAX_RETRIES)
+        cfg = PerturbConfig(tol=1.0, noise_mean=0.0, noise_sd=1.0, positions=(1,))
+        with caplog.at_level(logging.WARNING, logger="collindiag.perturb"):
+            with pytest.raises(SingularMatrixError) as exc:
+                perturb_once(y, X, cfg, stub)
+        assert str(exc.value) == "perturbed design stayed singular in 10 draws"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"perturbed design singular; resampling (attempt {a})" for a in range(1, 10)]
 
     def test_no_resamples_on_regular_draws(self, kg_design, kg_y):
         assert perturb_n(kg_y, kg_design, PerturbConfig(iterations=20, seed=1)).resamples == 0
@@ -500,7 +511,7 @@ class TestWorker:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: StubRng(*[-X.X[:, 1]] * (3 + perturb._MAX_RETRIES - 1)))
         before = threading.active_count()
-        with pytest.raises(SingularMatrixError, match="after 10 resamples"):
+        with pytest.raises(SingularMatrixError, match="stayed singular in 10 draws"):
             perturb_n(y, X, cfg)
         self.assert_one_joined(started, before)
 
