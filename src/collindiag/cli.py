@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 problematic collinearity found and
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .diagnostics import (DEFAULT_THRESHOLDS, SlmReport, Thresholds, cn_severity
                           multicol, slm, stewart_index, vif)
 from .fixtures import FIXTURE_NAMES, fixture
 from .ols import ols_fit, significance_contradiction
-from .perturb import PerturbConfig, perturb_n
+from .perturb import PerturbConfig, _selected_columns, perturb_n
 
 __all__ = ["main", "build_parser"]
 
@@ -125,14 +126,19 @@ def _thresholds_from_env() -> Thresholds:
 
 
 def _plain(obj):
-    """JSON-ready copy of a report value: dataclasses become dicts in
-    field order, tuples lists, numpy arrays and scalars Python values."""
+    """JSON-ready copy of a report value: dataclasses become dicts in field
+    order, tuples lists, numpy values Python ones, and a non-finite float the
+    string text mode prints for it ("inf", "-inf" or "nan"), at any depth."""
     if dataclasses.is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
         return [_plain(v) for v in obj]
     if hasattr(obj, "tolist"):
-        return obj.tolist()
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt(obj)
     return obj
 
 
@@ -165,8 +171,8 @@ def _cn_verdict(cn: float, th: Thresholds) -> tuple[str, str]:
 
 def _corr_result(rep, th: Thresholds):
     result = {
-        "labels": _plain(rep.labels),
-        "correlation_matrix": _plain(rep.r),
+        "labels": rep.labels,
+        "correlation_matrix": rep.r,
         "det_r": rep.det_r,
         "det_threshold": rep.det_threshold,
         "pairwise_threshold": th.pairwise_corr,
@@ -222,7 +228,7 @@ def _stewart_result(rep):
         lines += ["", "Proportion of non-essential collinearity (in percentage)"]
         lines += _value_rows(list(zip(quant, rep.nonessential_pct)))
     lines.append(f"{NO_THRESHOLD_NOTE} for the Stewart index")
-    return _plain(rep), lines, False
+    return rep, lines, False
 
 
 def _cv_result(entries, th: Thresholds):
@@ -254,7 +260,7 @@ def _slm_result(rep: SlmReport, th: Thresholds):
                  "", "Condition Number", f"  {_fmt(rep.cn)}"]
     else:
         result = {"kind": "quantitative", "label": rep.label, "cv": rep.cv,
-                  "vif": rep.vif, "cn": rep.cn, "k2": _plain(rep.k2)}
+                  "vif": rep.vif, "cn": rep.cn, "k2": rep.k2}
         lines = ["Coefficient of Variation", f"  {_fmt(rep.cv)}",
                  "", "Variance Inflation Factor", f"  {_fmt(rep.vif)}",
                  "", "Condition Number", f"  {_fmt(rep.cn)}",
@@ -283,7 +289,7 @@ def _multicol_result(report, th: Thresholds):
         ("cn", "Condition Number", report.cn, lambda v: _cns_result(v, th)),
         ("stewart", "Stewart index", report.stewart, _stewart_result),
     )
-    result: dict = {"notes": dict(report.notes)}
+    result: dict = {"notes": report.notes}
     lines: list[str] = []
     problematic = False
     for key, title, value, build in sections:
@@ -302,9 +308,9 @@ def _multicol_result(report, th: Thresholds):
 def _ols_result(y, X, alpha: float):
     fit = ols_fit(y, X)
     verdict = significance_contradiction(fit, alpha)
-    result = {name: _plain(getattr(fit, name)) for name in (
+    result = {name: getattr(fit, name) for name in (
         "labels", "beta", "se", "t", "p", "sigma", "df_resid", "r2", "adj_r2", "f_stat", "f_p")}
-    result["contradiction"] = _plain(verdict)
+    result["contradiction"] = verdict
     lines = ["Coefficients", *_table(["", "Estimate", "Std. Error", "t value", "Pr(>|t|)"],
                                      [[label, *map(_fmt, row)] for label, *row in
                                       zip(fit.labels, fit.beta, fit.se, fit.t, fit.p)]),
@@ -327,18 +333,16 @@ def _perturb_result(y, X, args):
     if args.pos is not None and tuple(sorted(args.pos)) != derived:
         print(f"note: --pos {','.join(map(str, args.pos))} overrides the role-derived "
               f"positions {','.join(map(str, derived))}", file=sys.stderr)
-    perturbed = (X.quantitative_labels if not cfg.positions
-                 else tuple(X.labels[X.non_intercept_idx[p - 1]] for p in cfg.positions))
-    summaries = {"achieved_pct": _plain(res.achieved_summary),
-                 "change_pct": _plain(res.change_summary)}
+    perturbed = tuple(X.labels[i] for i in _selected_columns(X, cfg))
+    summaries = {"achieved_pct": res.achieved_summary, "change_pct": res.change_summary}
     result = {name: getattr(cfg, name) for name in settings}
-    result.update(perturbed=list(perturbed), **summaries)
+    result.update(perturbed=perturbed, **summaries)
     lines = [f"Perturbation experiment: tol={cfg.tol:g}, iterations={cfg.iterations}, "
              f"noise ~ Normal({cfg.noise_mean:g}, {cfg.noise_sd:g})"
              + (f", seed={cfg.seed}" if cfg.seed is not None else ""),
              f"Perturbed regressors: {', '.join(perturbed)}", "",
              *_table(["", "mean", "sd", "min", "max", "q2.5", "q97.5"],
-                     [[name, *map(_fmt, s.values())] for name, s in summaries.items()]),
+                     [[name, *map(_fmt, dataclasses.astuple(s))] for name, s in summaries.items()]),
              f"{NO_THRESHOLD_NOTE} for the coefficient change"]
     return result, lines, False
 
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
                     "dataset": ds.name, "problematic": problematic, "result": result}
-        print(json.dumps(envelope, indent=2))
+        print(json.dumps(_plain(envelope), indent=2, allow_nan=False))
     else:
         print("\n".join(lines))
     return 1 if problematic and args.fail_on_problematic else 0

@@ -53,6 +53,10 @@ CENTERED_CV_MESSAGE = (
 )
 
 
+class _Inapplicable(ValueError):
+    """The design lacks the columns a measure needs; multicol notes it."""
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Decision thresholds for every measure; defaults are the customary ones.
@@ -83,10 +87,11 @@ class Thresholds:
 
     @classmethod
     def from_file(cls, path) -> "Thresholds":
-        """The defaults with the overrides in a file of `name = value`
-        lines, where '#' starts a comment.  Errors name the file and line."""
+        """The defaults with the overrides in a file of `name = value` lines,
+        each name at most once; '#' starts a comment.  Errors name the file and line."""
         valid = {f.name for f in dataclasses.fields(cls)}
         overrides: dict[str, float] = {}
+        set_on: dict[str, int] = {}  # name -> the line that set it
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
@@ -101,6 +106,10 @@ class Thresholds:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown threshold {key!r}")
+            if key in set_on:
+                raise ValueError(
+                    f"{path}:{lineno}: threshold {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 overrides[key] = float(value)
             except ValueError:
@@ -148,8 +157,8 @@ class StewartReport:
     k2 carries one entry per column of the intercept-plus-quantitative
     submatrix (intercept first when present), labels the design's labels
     of those columns.  essential_pct and nonessential_pct cover the
-    quantitative entries only, the last ones, and are None when fewer
-    than two quantitative regressors exist.
+    quantitative entries only, the last ones, and are None without an
+    intercept or when fewer than two quantitative regressors exist.
     """
 
     labels: tuple[str, ...]
@@ -245,6 +254,16 @@ def _centered_factor(X: DesignMatrix) -> np.ndarray:
     return linalg._r_factor(Q - Q.mean(axis=0))
 
 
+@_once
+def _centered_svd(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled SVD (s, Vt) of the centered factor T, past the cut.  With an
+    intercept, T comes from [1, Q] by orthogonal steps, so [1, Q] must pass too."""
+    T = _centered_factor(X)
+    if X.intercept_present:
+        _block_svd(X, _intercept_quant_cols(X))
+    return linalg.scaled_svd(T, X.n)
+
+
 def _pearson(T: np.ndarray) -> tuple[np.ndarray, float]:
     """Correlation matrix and its determinant from the centered factor.
 
@@ -267,7 +286,7 @@ def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHO
     """
     labels = X.quantitative_labels
     if len(labels) < 2:
-        raise ValueError(NEED_TWO_QUANTITATIVE)
+        raise _Inapplicable(NEED_TWO_QUANTITATIVE)
     R, det_r = _pearson(_centered_factor(X))
     det_threshold = thresholds.det_r_threshold(X.n, len(labels))
     flagged = tuple(
@@ -291,24 +310,14 @@ def vif(X: DesignMatrix) -> tuple[tuple[str, float], ...]:
     """Variance inflation factors: diagonal of the inverted correlation
     matrix of the quantitative regressors, from the SVD of the
     unit-scaled centered block."""
-    if len(X.quantitative_idx) < 2:
-        raise ValueError(NEED_TWO_QUANTITATIVE)
-    return tuple(zip(X.quantitative_labels, _vifs(X).tolist()))
-
-
-@_once
-def _vifs(X: DesignMatrix) -> np.ndarray:
-    T = _centered_factor(X)
+    labels = X.quantitative_labels
+    if len(labels) < 2:
+        raise _Inapplicable(NEED_TWO_QUANTITATIVE)
     try:
-        if X.intercept_present:
-            # T comes from [1, Q] by orthogonal steps, so it is only as
-            # accurate as that block is well conditioned
-            _block_svd(X, _intercept_quant_cols(X))
-        return linalg._inverse_diag(*linalg.scaled_svd(T, X.n))
+        return tuple(zip(labels, linalg._inverse_diag(*_centered_svd(X)).tolist()))
     except linalg.SingularMatrixError:
         pass  # raised again below, naming the worst pair, with no chained traceback
-    labels = X.quantitative_labels
-    R, _ = _pearson(T)
+    R, _ = _pearson(_centered_factor(X))
     i, j = np.triu_indices(len(labels), 1)
     w = int(np.argmax(np.abs(R[i, j])))
     raise linalg.SingularMatrixError(
@@ -334,7 +343,7 @@ def cns(X: DesignMatrix) -> CnReport:
     """Condition numbers with and without the intercept and the
     percentage increase 100 * (with - without) / with."""
     if not X.intercept_present:
-        raise ValueError(NEED_INTERCEPT)
+        raise _Inapplicable(NEED_INTERCEPT)
     cn_with = condition_number(X, include_intercept=True)
     cn_without = condition_number(X, include_intercept=False)
     return CnReport(
@@ -358,19 +367,21 @@ def stewart_index(X: DesignMatrix) -> StewartReport:
     intercept-plus-quantitative submatrix, from the SVD of its
     unit-scaled block of X.factors.
 
-    Dummies are excluded throughout.  With at least two quantitative
-    regressors the essential percentage 100 * VIF(i) / k_i^2 and its
-    complement are reported per quantitative regressor.
+    Dummies are excluded throughout.  With an intercept and at least two
+    quantitative regressors, the essential percentage 100 * VIF(i) / k_i^2
+    and its complement are reported per quantitative regressor, from the
+    CVs: VIF(i) / k_i^2 = ||q_i - mean(q_i)||^2 / ||q_i||^2 = CV^2 / (1 + CV^2),
+    as both divide by the residual sum of the same auxiliary regression.
     """
     q_labels = X.quantitative_labels
     if len(q_labels) < 1:
-        raise ValueError(NEED_ONE_QUANTITATIVE)
+        raise _Inapplicable(NEED_ONE_QUANTITATIVE)
     cols = _intercept_quant_cols(X)
     k2 = linalg._inverse_diag(*_block_svd(X, cols))
 
     essential = nonessential = None
-    if len(q_labels) >= 2:
-        essential = 100.0 * _vifs(X) / k2[-len(q_labels):]
+    if len(q_labels) >= 2 and X.intercept_present:
+        essential = 100.0 / (1.0 + _quant_stats(X)[1] ** -2.0)  # a zero-mean column: 100
         nonessential = 100.0 - essential
     return StewartReport(labels=tuple(X.labels[i] for i in cols), k2=k2,
                          essential_pct=essential, nonessential_pct=nonessential)
@@ -405,7 +416,7 @@ def coefficients_of_variation(X: DesignMatrix) -> tuple[tuple[str, float | None]
     of X, in column order; None for a centered regressor, whose CV is
     undefined."""
     if not X.quantitative_idx:
-        raise ValueError(NEED_ONE_QUANTITATIVE)
+        raise _Inapplicable(NEED_ONE_QUANTITATIVE)
     return tuple((label, None if c else float(v))
                  for label, v, c in zip(X.quantitative_labels, *_quant_stats(X)[1:]))
 
@@ -445,37 +456,38 @@ def slm(X: DesignMatrix) -> SlmReport:
     )
 
 
+def _dummy_pcts(X: DesignMatrix) -> tuple[tuple[str, float], ...]:
+    """(label, percentage of ones) for each dummy regressor of X."""
+    if not X.dummy_idx:
+        raise _Inapplicable(NEED_ONE_DUMMY)
+    return tuple((X.labels[i], proportion_of_ones(X.X[:, i])) for i in X.dummy_idx)
+
+
 def multicol(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS):
     """Every applicable measure for X in one report.
 
-    Dispatches to slm for an intercept-plus-one-regressor design.
-    Sections that need column roles the design lacks are set to None and
-    explained in notes.
+    Dispatches to slm for an intercept-plus-one-regressor design.  A
+    section whose measure finds the design lacks the columns it needs is
+    set to None, with the measure's message in notes.
     """
     if X.k == 2 and X.intercept_present:
         return slm(X)
 
-    q = len(X.quantitative_idx)
-    needs = {  # section: (its note when X lacks the columns it needs, whether X has them)
-        "cv": (NEED_ONE_QUANTITATIVE, q >= 1),
-        "dummy_pct": (NEED_ONE_DUMMY, bool(X.dummy_idx)),
-        "correlation": (NEED_TWO_QUANTITATIVE, q >= 2),
-        "vif": (NEED_TWO_QUANTITATIVE, q >= 2),
-        "cn": (NEED_INTERCEPT, X.intercept_present),
-        "stewart": (NEED_ONE_QUANTITATIVE, q >= 1),
-    }
-    notes = {key: note for key, (note, applies) in needs.items() if not applies}
+    notes: dict[str, str] = {}
 
     def section(key, compute):
-        return None if key in notes else compute()
+        try:
+            return compute(X)
+        except _Inapplicable as exc:
+            notes[key] = str(exc)
+            return None
 
     return DiagnosticsReport(  # computed in this order, so the same error is raised first
-        cv=section("cv", lambda: coefficients_of_variation(X)),
-        dummy_pct=section("dummy_pct", lambda: tuple(
-            (X.labels[i], proportion_of_ones(X.X[:, i])) for i in X.dummy_idx)),
-        correlation=section("correlation", lambda: correlation_matrix(X, thresholds)),
-        vifs=section("vif", lambda: vif(X)),
-        cn=section("cn", lambda: cns(X)),
-        stewart=section("stewart", lambda: stewart_index(X)),
+        cv=section("cv", coefficients_of_variation),
+        dummy_pct=section("dummy_pct", _dummy_pcts),
+        correlation=section("correlation", lambda X: correlation_matrix(X, thresholds)),
+        vifs=section("vif", vif),
+        cn=section("cn", cns),
+        stewart=section("stewart", stewart_index),
         notes=notes,
     )

@@ -67,34 +67,28 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAXIT + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # the even, then the odd step
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _BETA_FPMIN:
+                d = _BETA_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETA_FPMIN:
+                c = _BETA_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
 
 def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), relative error < 1e-10."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
+    """Regularized incomplete beta I_x(a, b).  Its relative error grows
+    with the shape parameters: for the two-sided t p-value at t = 3,
+    against 50-digit mpmath, it is ~1e-13 at df = 1e3, 2.1e-11 at
+    df = 1e5, 5.3e-10 at df = 1e6 and 2.3e-9 at df = 1e7.  Its callers
+    check that a and b are finite and positive."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -112,8 +106,8 @@ def _betainc(a: float, b: float, x: float) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of the Student t distribution with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if not 0.0 < df < math.inf:
+        raise ValueError("degrees of freedom must be finite and positive")
     if math.isnan(x):
         return math.nan
     tail = 0.5 * _betainc(0.5 * df, 0.5, df / (df + x * x))
@@ -122,8 +116,8 @@ def t_cdf(x: float, df: float) -> float:
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
     """CDF of the F distribution with (d1, d2) degrees of freedom."""
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        raise ValueError("degrees of freedom must be finite and positive")
     if math.isnan(x):
         return math.nan
     if x <= 0:

@@ -2,6 +2,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from collindiag import cli, cns, design_matrix, fixture, ols_fit, response_vector, vif
@@ -259,10 +260,20 @@ class TestReports:
         code, out, _ = run(capsys, "ki", "--data", str(path), "--no-intercept")
         assert code == 0
         lines = out.splitlines()
-        for title in ("Proportion of essential collinearity (in percentage)",
-                      "Proportion of non-essential collinearity (in percentage)"):
-            at = lines.index(title)
-            assert [row.split()[0] for row in lines[at + 1:at + 3]] == ["intercept", "x"]
+        at = lines.index("Stewart index")
+        assert [row.split()[0] for row in lines[at + 1:at + 3]] == ["intercept", "x"]
+        assert "essential collinearity" not in out  # the split needs the intercept
+
+    def test_ki_without_intercept_has_no_split(self, capsys, tmp_path):
+        # VIF / k^2 read 37917.61 % essential and -37817.61 % non-essential here
+        path = tmp_path / "d.csv"
+        path.write_text("q1,q2\n-2,8.1\n-1,9\n0,9.9\n0,10.1\n1,11\n2,11.9\n", encoding="utf-8")
+        code, out, _ = run(capsys, "ki", "--data", str(path), "--no-intercept")
+        assert code == 0 and "essential" not in out
+        code, payload, _ = run_json(capsys, "ki", "--data", str(path), "--no-intercept")
+        assert code == 0
+        assert payload["result"]["essential_pct"] is None
+        assert payload["result"]["nonessential_pct"] is None
 
     def test_cv_without_quantitative_regressors(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
@@ -369,6 +380,54 @@ class TestJsonTextAgreement:
         rep = cns(theil_design)
         assert payload["result"]["with"] == rep.cn_with
         assert payload["result"]["without"] == rep.cn_without
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    COMMANDS = ("rdetr", "vif", "cn", "cns", "ki", "cv", "slm", "multicol", "ols", "perturb")
+    # designs a command does not apply to: exit 2 and no report; the exact-fit
+    # CSV has one regressor, and a centered one, which slm's CV rejects
+    REFUSED = {("slm", "kg"), ("slm", "theil"), ("slm", "exact"), ("rdetr", "exact"),
+               ("vif", "exact"), ("multicol", "exact")}
+
+    @pytest.fixture()
+    def exact_fit_csv(self, tmp_path):
+        path = tmp_path / "exact.csv"
+        path.write_text("y,x\n0,3\n0,3\n-6,-3\n-6,-3\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("source", ["kg", "theil", "exact"])
+    def test_every_report_is_strict_json(self, capsys, exact_fit_csv, command, source):
+        argv = (["--fixture", source] if source != "exact"
+                else ["--data", str(exact_fit_csv), "--response", "y"])
+        extra = ["--seed", "1", "--iterations", "50"] if command == "perturb" else []
+        code, out, err = run(capsys, command, *argv, *extra, "--format", "json")
+        if (command, source) in self.REFUSED:
+            assert (code, out) == (2, "") and err.startswith("error: ")
+        else:
+            assert code == 0 and strict_json(out)["command"] == command
+
+    def test_exact_fit_prints_non_finite_values_as_text_does(self, capsys, exact_fit_csv):
+        argv = ("ols", "--data", str(exact_fit_csv), "--response", "y")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        result = strict_json(out)["result"]
+        assert result["t"] == ["-inf", "inf"]
+        assert result["f_stat"] == "inf"
+        _, text, _ = run(capsys, *argv)
+        assert "F-statistic: inf on 1 and 2 DF" in text
+
+    def test_plain_reaches_every_container(self):
+        value = {"a": (np.float64(np.nan), [np.inf, np.array([-np.inf, 1.5])]), "b": np.int64(3)}
+        assert cli._plain(value) == {"a": ["nan", ["inf", ["-inf", 1.5]]], "b": 3}
 
 
 class TestReproducibility:

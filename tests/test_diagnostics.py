@@ -25,7 +25,9 @@ from collindiag import (
     stewart_index,
     vif,
 )
+from collindiag import diagnostics
 from collindiag.diagnostics import (
+    NEED_INTERCEPT,
     NEED_ONE_DUMMY,
     NEED_ONE_QUANTITATIVE,
     NEED_TWO_QUANTITATIVE,
@@ -75,6 +77,14 @@ class TestThresholds:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"threshold {name} must be finite"):
             Thresholds(**{name: value})
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "thresholds.cfg"
+        path.write_text("vif_limit = 5\ncn_severe = 40\n# again\nvif_limit = 50\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            Thresholds.from_file(path)
+        assert str(exc.value) == f"{path}:4: threshold 'vif_limit' already set on line 1"
 
 
 class TestCorrelationMatrix:
@@ -290,6 +300,32 @@ class TestStewartIndex:
         for design in (theil_design, kg_design):
             assert np.all(stewart_index(design).k2 >= 1.0 - 1e-9)
 
+    def test_no_split_without_an_intercept(self):
+        # VIF / k^2 is 37917.61 % here; the split is defined only with an intercept
+        q1 = [-2.0, -1.0, 0.0, 0.0, 1.0, 2.0]
+        q2 = [8.1, 9.0, 9.9, 10.1, 11.0, 11.9]
+        X = DesignMatrix(X=np.column_stack([q1, q2]), intercept_present=False,
+                         quantitative_idx=(0, 1), dummy_idx=(), labels=("q1", "q2"))
+        rep = stewart_index(X)
+        assert rep.essential_pct is None and rep.nonessential_pct is None
+        assert rep.labels == ("q1", "q2")
+
+    @pytest.mark.parametrize("name", ["kg", "theil"])
+    def test_essential_is_the_centered_share(self, name, request):
+        X = request.getfixturevalue(f"{name}_design")
+        Q = X.X[:, list(X.quantitative_idx)]
+        share = 100.0 * ((Q - Q.mean(axis=0)) ** 2).sum(axis=0) / (Q ** 2).sum(axis=0)
+        assert_allclose(stewart_index(X).essential_pct, share, rtol=1e-13, atol=0)
+
+    def test_one_qr_and_one_svd(self, monkeypatch, kg_dataset):
+        # the split needs neither the centered factor nor the VIFs
+        X = design_matrix(kg_dataset)
+        monkeypatch.setattr(diagnostics, "_centered_factor",
+                            lambda X: pytest.fail("the VIF path was taken"))
+        calls = count_factorizations(monkeypatch)
+        stewart_index(X)
+        assert calls == [("qr", (X.n, X.k)), ("svd", (X.k, X.k))]
+
 
 class TestCoefficientOfVariation:
     def test_theil_income(self, theil_design):
@@ -406,6 +442,32 @@ class TestMulticol:
         assert isinstance(report, SlmReport)
         assert report == slm(theil_income_design)
 
+    @pytest.mark.parametrize("measure,design,note", [
+        (coefficients_of_variation, "theil_twenties_design", NEED_ONE_QUANTITATIVE),
+        (correlation_matrix, "theil_income_design", NEED_TWO_QUANTITATIVE),
+        (vif, "theil_income_design", NEED_TWO_QUANTITATIVE),
+        (stewart_index, "theil_twenties_design", NEED_ONE_QUANTITATIVE),
+        (diagnostics._dummy_pcts, "kg_design", NEED_ONE_DUMMY),
+    ])
+    def test_each_measure_states_what_it_needs(self, request, measure, design, note):
+        with pytest.raises(diagnostics._Inapplicable) as exc:
+            measure(request.getfixturevalue(design))
+        assert str(exc.value) == note
+
+    def test_cns_needs_an_intercept(self, kg_dataset):
+        X = design_matrix(dataclasses.replace(kg_dataset, add_intercept=False))
+        with pytest.raises(diagnostics._Inapplicable, match=NEED_INTERCEPT):
+            cns(X)
+
+    def test_notes_are_the_measures_messages(self, monkeypatch, kg_design):
+        def inapplicable(X):
+            raise diagnostics._Inapplicable("needs what kg lacks")
+
+        monkeypatch.setattr(diagnostics, "cns", inapplicable)
+        report = multicol(kg_design)
+        assert report.cn is None
+        assert report.notes == {"dummy_pct": NEED_ONE_DUMMY, "cn": "needs what kg lacks"}
+
     def test_dummy_only_design_degrades_quantitative_sections(self, theil_dataset):
         from collindiag import Column, design_matrix
 
@@ -441,7 +503,7 @@ class TestSharedFactors:
         multicol(X)
         kept = [X.factors] + [a for value in X._shared.values()
                               for a in (value if isinstance(value, tuple) else (value,))]
-        assert len(kept) == 12  # R, three (s, Vt) pairs, T, the VIFs and the column stats
+        assert len(kept) == 13  # R, three (s, Vt) pairs, T and its (s, Vt), the column stats
         assert not any(a.flags.writeable for a in kept)
         with pytest.raises(ValueError, match="read-only"):
             X.factors[0, 0] = 0.0

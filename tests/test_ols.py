@@ -73,6 +73,13 @@ class TestTCdf:
         with pytest.raises(ValueError):
             t_cdf(1.0, 0)
 
+    @pytest.mark.parametrize("x", [1.0, math.nan])
+    @pytest.mark.parametrize("df", [math.inf, math.nan])
+    def test_non_finite_df(self, x, df):
+        # rejected before the nan return, not after 500 continued-fraction steps
+        with pytest.raises(ValueError, match="degrees of freedom must be finite and positive"):
+            t_cdf(x, df)
+
 
 class TestFCdf:
     def test_anchor_values(self):
@@ -91,6 +98,13 @@ class TestFCdf:
         with pytest.raises(ValueError):
             f_cdf(1.0, 0, 3)
 
+    @pytest.mark.parametrize("x", [1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("d1,d2", [(math.inf, 3), (1, math.inf), (math.nan, 3), (1, math.nan)])
+    def test_non_finite_df(self, x, d1, d2):
+        # rejected before the early returns for x <= 0, inf and nan
+        with pytest.raises(ValueError, match="degrees of freedom must be finite and positive"):
+            f_cdf(x, d1, d2)
+
 
 def conditioned_design(n: int, k: int, cn: float, seed: int = 0):
     """An intercept and k - 1 regressors whose unit-scaled design has a
@@ -106,6 +120,19 @@ def conditioned_design(n: int, k: int, cn: float, seed: int = 0):
 
 
 class TestOlsFit:
+    @pytest.mark.parametrize("name,p,f_p", [
+        ("kg", ["0x1.59febee504686p-6", "0x1.0115c1ff0c058p-2", "0x1.3c6610ae3ad5ap-4",
+                "0x1.6c30ab4f446d6p-1"], "0x1.3718a0e4b9bb5p-17"),
+        ("theil", ["0x1.624ae0a4d16bap-11", "0x1.474a83223e1f2p-9", "0x1.3e85a970a1ff4p-15",
+                   "0x1.07a71674796c6p-1"], "0x1.e44d273ebbd69p-28"),
+    ])
+    def test_fixture_p_values_to_the_bit(self, request, name, p, f_p):
+        # pinned from the unrolled continued fraction, before its Lentz step became a loop
+        y, X = (request.getfixturevalue(f"{name}_{part}") for part in ("y", "design"))
+        fit = ols_fit(y, X)
+        assert [float(v).hex() for v in fit.p] == p
+        assert float(fit.f_p).hex() == f_p
+
     def test_theil_table(self, theil_design, theil_y):
         fit = ols_fit(theil_y, theil_design)
         assert_allclose(fit.beta, [126.1695, 1.0308, -1.2574, -4.5355], rtol=0, atol=5e-4)

@@ -137,9 +137,13 @@ class TestStewartIdentity:
         rng = np.random.default_rng(77)
         for _ in range(25):
             X = random_design(rng)
-            k2 = stewart_index(X).k2[1:]
+            rep = stewart_index(X)
+            k2 = rep.k2[1:]
             vifs = np.array([v for _, v in vif(X)])
             assert np.all(k2 - vifs >= -1e-9)
+            # the split comes from the CVs; the VIF route agrees to c * eps * CN, c = 100
+            bound = 100 * np.finfo(float).eps * cns(X).cn_with
+            assert_allclose(rep.essential_pct, 100.0 * vifs / k2, rtol=bound, atol=0)
 
     def test_centered_regressor_k2_equals_vif(self):
         rng = np.random.default_rng(88)
@@ -164,6 +168,19 @@ class TestStewartIdentity:
                 k2_i = float(stewart_index(centered).k2[1 + i])
                 vif_i = [v for _, v in vif(centered)][i]
                 assert k2_i == pytest.approx(vif_i, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(columns=st.lists(st.lists(st.floats(min_value=-100, max_value=100), min_size=6,
+                                     max_size=6), min_size=2, max_size=3))
+    def test_no_split_without_an_intercept(self, columns):
+        X = DesignMatrix(X=np.array(columns).T, intercept_present=False,
+                         quantitative_idx=tuple(range(len(columns))), dummy_idx=(),
+                         labels=tuple(f"q{i}" for i in range(len(columns))))
+        try:
+            rep = stewart_index(X)
+        except SingularMatrixError:
+            return  # a zero or dependent column has no Stewart index at all
+        assert rep.essential_pct is None and rep.nonessential_pct is None
 
 
 class TestDeterminantBounds:
