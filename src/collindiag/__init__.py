@@ -10,98 +10,15 @@ joint-vs-individual significance contradiction, and a Monte Carlo
 perturbation experiment for coefficient stability.
 """
 
-from .dataset import (
-    Column,
-    ColumnRole,
-    Dataset,
-    DesignMatrix,
-    design_matrix,
-    load_csv,
-    response_vector,
-)
-from .diagnostics import (
-    DEFAULT_THRESHOLDS,
-    CnReport,
-    CorrelationReport,
-    DiagnosticsReport,
-    SlmReport,
-    StewartReport,
-    Thresholds,
-    cn_severity,
-    cns,
-    coefficient_of_variation,
-    coefficients_of_variation,
-    condition_number,
-    correlation_matrix,
-    multicol,
-    proportion_of_ones,
-    slm,
-    stewart_index,
-    vif,
-)
-from .fixtures import FIXTURE_NAMES, fixture
-from .linalg import SingularMatrixError, least_squares, unit_length_scale
-from .ols import (
-    ContradictionVerdict,
-    OLSFit,
-    f_cdf,
-    ols_fit,
-    significance_contradiction,
-    t_cdf,
-)
-from .perturb import (
-    PerturbConfig,
-    PerturbResult,
-    SummaryStats,
-    perturb_column,
-    perturb_n,
-    perturb_once,
-)
+from . import dataset, diagnostics, fixtures, linalg, ols, perturb
+from .dataset import *  # noqa: F403 -- each module's __all__ is its public API
+from .diagnostics import *  # noqa: F403
+from .fixtures import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .ols import *  # noqa: F403
+from .perturb import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Column",
-    "ColumnRole",
-    "Dataset",
-    "DesignMatrix",
-    "design_matrix",
-    "load_csv",
-    "response_vector",
-    "DEFAULT_THRESHOLDS",
-    "CnReport",
-    "CorrelationReport",
-    "DiagnosticsReport",
-    "SlmReport",
-    "StewartReport",
-    "Thresholds",
-    "cn_severity",
-    "cns",
-    "coefficient_of_variation",
-    "coefficients_of_variation",
-    "condition_number",
-    "correlation_matrix",
-    "multicol",
-    "proportion_of_ones",
-    "slm",
-    "stewart_index",
-    "vif",
-    "FIXTURE_NAMES",
-    "fixture",
-    "SingularMatrixError",
-    "least_squares",
-    "unit_length_scale",
-    "ContradictionVerdict",
-    "OLSFit",
-    "f_cdf",
-    "ols_fit",
-    "significance_contradiction",
-    "t_cdf",
-    "PerturbConfig",
-    "PerturbResult",
-    "SummaryStats",
-    "perturb_column",
-    "perturb_n",
-    "perturb_once",
-    "__version__",
-]
+__all__ = [name for module in (dataset, diagnostics, fixtures, linalg, ols, perturb)
+           for name in module.__all__] + ["__version__"]

@@ -83,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="significance level for the contradiction verdict")
 
     p_pert = sub.choices["perturb"]
-    p_pert.add_argument("--tol", type=float, default=0.01,
+    p_pert.add_argument("--tol", type=float, default=PerturbConfig.tol,
                         help="relative perturbation magnitude")
-    p_pert.add_argument("--iterations", type=int, default=5000)
-    p_pert.add_argument("--noise-mean", type=float, default=10.0)
-    p_pert.add_argument("--noise-sd", type=float, default=10.0)
-    p_pert.add_argument("--seed", type=int, default=None)
+    p_pert.add_argument("--iterations", type=int, default=PerturbConfig.iterations)
+    p_pert.add_argument("--noise-mean", type=float, default=PerturbConfig.noise_mean)
+    p_pert.add_argument("--noise-sd", type=float, default=PerturbConfig.noise_sd)
+    p_pert.add_argument("--seed", type=int, default=PerturbConfig.seed)
     p_pert.add_argument("--pos", type=_positions, default=None, metavar="i,j,...",
                         help="1-based positions of regressors to perturb, counted "
                              "excluding the intercept; default: all quantitative")
@@ -104,10 +104,10 @@ def _load_dataset(args) -> Dataset:
         raise ValueError("exactly one of --data or --fixture is required")
     if args.data:
         return load_csv(args.data, lambda header: roles_from_flags(
-            header, args.response, args.dummy, args.quant), add_intercept=not args.no_intercept)
+            header, args.response, args.dummy, args.quant))
     if args.response or args.dummy or args.quant:
         raise ValueError("role flags (--response/--dummy/--quant) apply only to --data")
-    return dataclasses.replace(fixture(args.fixture), add_intercept=not args.no_intercept)
+    return fixture(args.fixture)
 
 
 def _thresholds_from_env() -> Thresholds:
@@ -142,11 +142,13 @@ def _plain(obj):
     return obj
 
 
+def _value(v) -> str:
+    return _fmt(v) if v is not None else "undefined (centered variable)"
+
+
 def _value_rows(pairs) -> list[str]:
     width = max(len(label) for label, _ in pairs)
-    return [f"  {label.ljust(width)}  "
-            + (_fmt(value) if value is not None else "undefined (centered variable)")
-            for label, value in pairs]
+    return [f"  {label.ljust(width)}  {_value(value)}" for label, value in pairs]
 
 
 def _table(header, rows) -> list[str]:
@@ -253,7 +255,7 @@ def _dummy_pct_result(entries):
 
 
 def _slm_result(rep: SlmReport, th: Thresholds):
-    cv_low = not rep.is_dummy and rep.cv < th.cv_limit
+    cv_low = rep.cv is not None and rep.cv < th.cv_limit
     if rep.is_dummy:
         result = {"kind": "dummy", "label": rep.label, "ones_pct": rep.ones_pct, "cn": rep.cn}
         lines = ["Proportion of ones in the dummy variable", f"  {_fmt(rep.ones_pct)}",
@@ -261,7 +263,7 @@ def _slm_result(rep: SlmReport, th: Thresholds):
     else:
         result = {"kind": "quantitative", "label": rep.label, "cv": rep.cv,
                   "vif": rep.vif, "cn": rep.cn, "k2": rep.k2}
-        lines = ["Coefficient of Variation", f"  {_fmt(rep.cv)}",
+        lines = ["Coefficient of Variation", f"  {_value(rep.cv)}",
                  "", "Variance Inflation Factor", f"  {_fmt(rep.vif)}",
                  "", "Condition Number", f"  {_fmt(rep.cn)}",
                  "", "Stewart index", f"  {_fmt(rep.k2[0])} {_fmt(rep.k2[1])}"]
@@ -380,18 +382,24 @@ def main(argv=None) -> int:
     try:
         th = _thresholds_from_env()
         ds = _load_dataset(args)
-        result, lines, problematic = COMMANDS[args.command][1](design_matrix(ds), ds, args, th)
+        X = design_matrix(ds, intercept=not args.no_intercept)
+        result, lines, problematic = COMMANDS[args.command][1](X, ds, args, th)
     except (ValueError, OSError) as exc:  # usage and data errors, unreadable files
         reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                    "dataset": ds.name, "problematic": problematic, "result": result}
-        print(json.dumps(_plain(envelope), indent=2, allow_nan=False))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                        "dataset": ds.name, "problematic": problematic, "result": result}
+            print(json.dumps(_plain(envelope), indent=2, allow_nan=False))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early; later flushes go to os.devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 1 if problematic and args.fail_on_problematic else 0
 
 

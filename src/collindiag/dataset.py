@@ -67,7 +67,6 @@ class Dataset:
 
     name: str
     columns: tuple[Column, ...]
-    add_intercept: bool = True
     skipped: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -196,7 +195,7 @@ _NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|inf(in
                      re.IGNORECASE)
 
 
-def load_csv(path, roles, add_intercept: bool = True) -> Dataset:
+def load_csv(path, roles) -> Dataset:
     """Load a CSV file into a Dataset.
 
     roles maps column labels to ColumnRole (or its string value), or is a
@@ -244,7 +243,6 @@ def load_csv(path, roles, add_intercept: bool = True) -> Dataset:
     return Dataset(
         name=str(path),
         columns=tuple(Column(header[j], roles[header[j]], data[:, j]) for j in used),
-        add_intercept=add_intercept,
         skipped=tuple(label for label in header if label not in roles),
     )
 
@@ -286,10 +284,10 @@ def _first_error(rows, path, header, roles, failure) -> ValueError:
     return ValueError(f"{path}: {failure or 'rows do not split into the header columns'}")
 
 
-def design_matrix(d: Dataset) -> DesignMatrix:
+def design_matrix(d: Dataset, intercept: bool = True) -> DesignMatrix:
     """Build the design matrix from all non-response columns of d.
 
-    The intercept ones column is synthesized first when d.add_intercept.
+    The intercept ones column is synthesized first when intercept is true.
     A zero-variance quantitative column is rejected because a constant
     regressor duplicates the intercept.
     """
@@ -300,10 +298,10 @@ def design_matrix(d: Dataset) -> DesignMatrix:
         if c.role is ColumnRole.QUANTITATIVE and np.ptp(c.values) == 0.0:
             raise ValueError(f"quantitative column {c.label!r} has zero variance")
 
-    start = int(d.add_intercept)  # regressors follow the intercept column, if any
+    start = int(intercept)  # regressors follow the intercept column, if any
     return DesignMatrix(
         X=np.column_stack([np.ones(d.n)] * start + [c.values for c in regressors]),
-        intercept_present=d.add_intercept,
+        intercept_present=intercept,
         quantitative_idx=tuple(start + i for i, c in enumerate(regressors)
                                if c.role is ColumnRole.QUANTITATIVE),
         dummy_idx=tuple(start + i for i, c in enumerate(regressors) if c.role is ColumnRole.DUMMY),

@@ -435,22 +435,24 @@ def slm(X: DesignMatrix) -> SlmReport:
     """Diagnostics for the simple linear model: intercept plus exactly
     one regressor.
 
-    A quantitative regressor gets CV, VIF (identically 1), CN and the
-    Stewart pair; a dummy gets the proportion of ones and CN.
+    A quantitative regressor gets CV (None when it is centered), VIF
+    (identically 1), CN and the Stewart pair; a dummy gets the proportion
+    of ones and CN.
     """
     if X.k != 2 or not X.intercept_present:
         raise ValueError(SLM_NEEDS_TWO_COLUMNS)
     label = X.labels[1]
     cn = condition_number(X, include_intercept=True)
     if X.dummy_idx:
-        return SlmReport(label=label, is_dummy=True, cn=cn,
-                         ones_pct=proportion_of_ones(X.X[:, 1]))
+        ((_, ones_pct),) = _dummy_pcts(X)
+        return SlmReport(label=label, is_dummy=True, cn=cn, ones_pct=ones_pct)
+    ((_, cv),) = coefficients_of_variation(X)
     k2 = stewart_index(X).k2
     return SlmReport(
         label=label,
         is_dummy=False,
         cn=cn,
-        cv=coefficient_of_variation(X.X[:, 1]),
+        cv=cv,
         vif=1.0,
         k2=(float(k2[0]), float(k2[1])),
     )

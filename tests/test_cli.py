@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from collindiag import cli, cns, design_matrix, fixture, ols_fit, response_vector, vif
 from collindiag.cli import THRESHOLDS_ENV, main
 from collindiag.diagnostics import NEED_ONE_QUANTITATIVE
+from collindiag.perturb import PerturbConfig
 
 
 def run(capsys, *argv):
@@ -393,9 +397,8 @@ def strict_json(text: str):
 class TestStrictJson:
     COMMANDS = ("rdetr", "vif", "cn", "cns", "ki", "cv", "slm", "multicol", "ols", "perturb")
     # designs a command does not apply to: exit 2 and no report; the exact-fit
-    # CSV has one regressor, and a centered one, which slm's CV rejects
-    REFUSED = {("slm", "kg"), ("slm", "theil"), ("slm", "exact"), ("rdetr", "exact"),
-               ("vif", "exact"), ("multicol", "exact")}
+    # CSV has one regressor, a centered one, so slm and multicol report it
+    REFUSED = {("slm", "kg"), ("slm", "theil"), ("rdetr", "exact"), ("vif", "exact")}
 
     @pytest.fixture()
     def exact_fit_csv(self, tmp_path):
@@ -428,6 +431,38 @@ class TestStrictJson:
     def test_plain_reaches_every_container(self):
         value = {"a": (np.float64(np.nan), [np.inf, np.array([-np.inf, 1.5])]), "b": np.int64(3)}
         assert cli._plain(value) == {"a": ["nan", ["inf", ["-inf", 1.5]]], "b": 3}
+
+
+class TestCenteredRegressor:
+    """slm (and multicol, which dispatches to it) on an intercept and one
+    regressor of mean 0: the CV is undefined, every other measure is 1."""
+
+    @pytest.fixture()
+    def centered_csv(self, tmp_path):
+        path = tmp_path / "exact.csv"
+        path.write_text("y,x\n0,3\n0,3\n-6,-3\n-6,-3\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["slm", "multicol"])
+    def test_text(self, capsys, centered_csv, command):
+        code, out, err = run(capsys, command, "--data", str(centered_csv), "--response", "y",
+                             "--fail-on-problematic")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "Coefficient of Variation", "  undefined (centered variable)",
+            "", "Variance Inflation Factor", "  1",
+            "", "Condition Number", "  1",
+            "", "Stewart index", "  1 1",
+            "OK: CN=1 < 20"]
+
+    @pytest.mark.parametrize("command", ["slm", "multicol"])
+    def test_json(self, capsys, centered_csv, command):
+        code, payload, err = run_json(capsys, command, "--data", str(centered_csv),
+                                      "--response", "y", "--fail-on-problematic")
+        assert (code, err) == (0, "")
+        result = payload["result"] if command == "slm" else payload["result"]["slm"]
+        assert result["cv"] is None and result["vif"] == 1.0
+        assert result["severity"] == "none" and payload["problematic"] is False
 
 
 class TestReproducibility:
@@ -500,6 +535,13 @@ class TestPerturbCommand:
             main(["perturb", "--fixture", "theil", "--pos", "1;2"])
         assert exc.value.code == 2
 
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["perturb", "--fixture", "kg"])
+        settings = ("tol", "iterations", "noise_mean", "noise_sd", "seed")
+        assert ({name: getattr(args, name) for name in settings}
+                == {name: getattr(PerturbConfig(), name) for name in settings})
+        assert args.pos is None and PerturbConfig().positions == ()
+
     def test_achieved_mean_in_json(self, capsys):
         _, payload, _ = run_json(capsys, "perturb", "--fixture", "kg",
                                  "--iterations", "20", "--seed", "2")
@@ -545,3 +587,44 @@ class TestThresholdOverrides:
         monkeypatch.setenv(THRESHOLDS_ENV, str(tmp_path / "gone.cfg"))
         code, _, err = run(capsys, "vif", "--fixture", "theil")
         assert code == 2
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `| head -n 1` does: nothing on stderr,
+    and the exit status the run would have had."""
+
+    @pytest.fixture(scope="class")
+    def wide_csv(self, tmp_path_factory):
+        # 150 regressors: rdetr prints more than a pipe buffer holds, so it is
+        # still writing when the reader goes
+        path = tmp_path_factory.mktemp("wide") / "wide.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((300, 150)), delimiter=",",
+                   header=",".join(f"x{i}" for i in range(150)), comments="")
+        return path
+
+    @staticmethod
+    def spawn(unbuffered: bool, *argv):
+        src = str(Path(cli.__file__).parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-m", "collindiag.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("flags", [[], ["--fail-on-problematic"]])
+    def test_reader_stops_after_one_line(self, capsys, wide_csv, unbuffered, flags):
+        argv = ["rdetr", "--data", str(wide_csv), *flags]
+        expected, _, _ = run(capsys, *argv)
+        proc = self.spawn(unbuffered, *argv)
+        assert proc.stdout.readline() == b"Correlation matrix\n"
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait()) == (b"", expected)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_gone_before_the_report(self, unbuffered):
+        # buffered, the report fits the buffer, so the flush meets the closed pipe
+        proc = self.spawn(unbuffered, "multicol", "--fixture", "kg")
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait()) == (b"", 0)

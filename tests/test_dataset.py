@@ -322,13 +322,27 @@ class TestDesignMatrix:
             design_matrix(ds)
 
     def test_no_intercept_flag(self, theil_dataset):
-        import dataclasses
-
-        ds = dataclasses.replace(theil_dataset, add_intercept=False)
-        X = design_matrix(ds)
+        X = design_matrix(theil_dataset, intercept=False)
         assert not X.intercept_present
         assert X.X.shape == (17, 3)
         assert X.quantitative_idx == (0, 1)
+
+    def test_intercept_is_an_argument(self, kg_dataset):
+        with_intercept = design_matrix(kg_dataset)
+        without = design_matrix(kg_dataset, intercept=False)
+        assert with_intercept.intercept_present and not without.intercept_present
+        assert with_intercept.labels == ("intercept", *without.labels)
+        assert_array_equal(with_intercept.X[:, 1:], without.X)
+        assert without.quantitative_idx == tuple(i - 1 for i in with_intercept.quantitative_idx)
+
+    def test_the_dataset_holds_no_intercept_choice(self, tmp_path):
+        import dataclasses
+
+        assert "add_intercept" not in {f.name for f in dataclasses.fields(Dataset)}
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n2,1\n3,5\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            load_csv(path, AB, add_intercept=False)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match=r"^duplicate column labels: \['x'\]$"):

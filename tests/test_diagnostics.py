@@ -253,9 +253,8 @@ class TestCns:
     def test_requires_intercept(self, theil_dataset):
         from collindiag import design_matrix
 
-        ds = dataclasses.replace(theil_dataset, add_intercept=False)
         with pytest.raises(ValueError, match="intercept"):
-            cns(design_matrix(ds))
+            cns(design_matrix(theil_dataset, intercept=False))
 
     def test_severity_levels(self):
         assert cn_severity(10.0) == "none"
@@ -402,6 +401,18 @@ class TestSlm:
         assert rep.cn == pytest.approx(2.140501, rel=1e-4)
         assert rep.cv is None and rep.vif is None and rep.k2 is None
 
+    def test_centered_regressor_has_no_cv(self):
+        # x has mean 0: CV is undefined, and CN and k^2 are 1 for [1, x] orthogonal
+        from collindiag import Column, Dataset
+
+        X = design_matrix(Dataset("exact", (Column("y", "response", [0.0, 0.0, -6.0, -6.0]),
+                                            Column("x", "quantitative", [3.0, 3.0, -3.0, -3.0]))))
+        rep = slm(X)
+        assert not rep.is_dummy and rep.cv is None and rep.vif == 1.0
+        assert rep.cn == pytest.approx(1.0, rel=1e-14)
+        assert_allclose(rep.k2, [1.0, 1.0], rtol=1e-14)
+        assert multicol(X) == rep
+
     def test_wrong_width_rejected_with_guidance(self, kg_design):
         with pytest.raises(ValueError, match="Only 2 independent variables"):
             slm(kg_design)
@@ -455,7 +466,7 @@ class TestMulticol:
         assert str(exc.value) == note
 
     def test_cns_needs_an_intercept(self, kg_dataset):
-        X = design_matrix(dataclasses.replace(kg_dataset, add_intercept=False))
+        X = design_matrix(kg_dataset, intercept=False)
         with pytest.raises(diagnostics._Inapplicable, match=NEED_INTERCEPT):
             cns(X)
 
