@@ -21,7 +21,14 @@ is inf or nan, takes the scaled SVD and _past_cut.  The margin of 1e-4
 covers the computed inverse's relative error (about k * cond * eps, at
 most ~1e-4 below the gate) and the SVD's own rounding (a few eps *
 s_max), so the gate and the SVD give the same verdict on every design it
-decides.
+decides.  A perturbation experiment proves the gate for all its draws at
+once: a column moved by tol * ||x||, tol < 1, has its unit vector moved
+by at most 2 sin(arcsin(tol) / 2) <= sqrt(2) * tol, so by Weyl's
+inequality each draw has s_min(B) >= floor = 1 / ||D R_k^-1||_F -
+sqrt(2 s) * tol (s columns moved, the baseline's R_k) and a bound of at
+most k / floor.  If 2 k / floor is below the gate's threshold, _qr_fit
+skips the inverses (the 2 covers the rounding of the floor, the QRs and
+the inverses, each ~1e-4 of it at most); else every draw is gated.
 
 Every QR of n-row data goes through _r_factor.  A narrow Householder QR
 makes one pass over its matrix per column, so a matrix of four or more
@@ -96,21 +103,24 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
                         mode="r")
 
 
-def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _qr_fit(A: np.ndarray, k: int, floor: float = 0.0) -> tuple[np.ndarray, ...]:
     """For each n x (k+1) matrix [X | y] in the stack A: the least squares
     coefficients of y on X, from one stacked QR, whether X fails the
     singular cut (its coefficients are left 0), and the R factor; last,
-    the gate's R[:k, :k]^-1 of each design with no zero pivot, in stack
-    order.  The cut is taken on the unit-scaled B = R[:k, :k] D^-1, D the
-    column norms, which has the singular values of X; the gate in the
-    module docstring spares the SVD of every B whose bound
-    sqrt(k) * ||D R[:k, :k]^-1||_F is far from it."""
+    the R[:k, :k]^-1 of each design the gate inverted, in stack order.
+    The cut is taken on the unit-scaled B = R[:k, :k] D^-1 (D the column
+    norms), which has X's singular values.  The gate in the module
+    docstring spares the SVD of every B far from the cut, and floor, a
+    proven lower bound on every s_min(B), can spare the stack the gate."""
     n = A.shape[1]
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
     _check_finite(A)
     R = _r_factor(A)
     Rk = R[:, :k, :k]
+    gate = _GATE_MARGIN / (max(n, k) * np.finfo(float).eps)
+    if 2 * k < floor * gate:  # every bound is at most k / floor: none inverted, none singular
+        return np.linalg.solve(Rk, R[:, :k, k:])[..., 0], np.zeros(len(A), bool), R, Rk[:0]
     singular = (np.diagonal(Rk, axis1=1, axis2=2) == 0.0).any(axis=1)
     ok = np.flatnonzero(~singular)
     Rok = Rk[ok]
@@ -119,7 +129,7 @@ def _qr_fit(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         Rk_inv = np.linalg.inv(Rok)
         B_inv = Rk_inv * norms[:, :, None]
         bound = np.sqrt(k * (B_inv * B_inv).sum(axis=(1, 2)))
-    near = ~(bound < _GATE_MARGIN / (max(n, k) * np.finfo(float).eps))
+    near = ~(bound < gate)
     if near.any():
         scaled = Rok[near] / norms[near][:, None, :]
         singular[ok[near]] = _past_cut(np.linalg.svd(scaled, compute_uv=False), n, k)

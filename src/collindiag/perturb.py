@@ -65,6 +65,8 @@ class PerturbConfig:
             raise ValueError("iterations must be at least 1")
         if not self.noise_sd > 0.0:
             raise ValueError("noise_sd must be positive")
+        if not (self.seed is None or isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,10 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     a block is in flight and the block size changes no bit."""
     sel = list(_selected_columns(X, cfg))
     (n, k), s = X.X.shape, len(sel)
-    beta = linalg._fit(X.X, yv)[0]
+    beta, R, Rk_inv = linalg._fit(X.X, yv)
+    # Weyl's floor on every draw's smallest scaled singular value (linalg docstring)
+    B_inv = (Rk_inv * linalg._norms(R[:k, :k].T)[:, None]).reshape(-1)
+    floor = 1.0 / linalg._norms(B_inv) - math.sqrt(2 * s) * cfg.tol if cfg.tol < 1 else 0.0
     x = X.X[:, sel].T  # C-ordered: each row is one selected column
     base_norm = float(linalg._norms(x.reshape(-1)))
     beta_norm = float(linalg._norms(beta))
@@ -203,7 +208,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     def refit(A, c):
         """Refit the c designs A[:c]: (change_pct, singular)."""
         # _qr_fit rejects an inf perturbation
-        beta_p, singular, _, _ = linalg._qr_fit(A[:c].transpose(0, 2, 1), k)
+        beta_p, singular, _, _ = linalg._qr_fit(A[:c].transpose(0, 2, 1), k, floor)
         return 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
     achieved, change, singular, ahead = np.empty(count), np.empty(count), [], None

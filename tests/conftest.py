@@ -102,3 +102,15 @@ def count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
 
     monkeypatch.setattr(linalg, "_r_factor", r_factor)
     return calls
+
+
+def count_inverses(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of the argument of every np.linalg.inv call from now on."""
+    shapes = []
+
+    def counted(a, *args, _fn=np.linalg.inv, **kwargs):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return shapes

@@ -530,6 +530,12 @@ class TestPerturbCommand:
         assert code == 2
         assert err == f"error: {flag[2:].replace('-', '_')} must be finite\n"
 
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run(capsys, "perturb", "--fixture", "theil", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer\n"
+
     def test_bad_pos_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--fixture", "theil", "--pos", "1;2"])

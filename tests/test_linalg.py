@@ -26,7 +26,7 @@ from collindiag.linalg import (
 )
 from collindiag.perturb import PerturbConfig, perturb_n
 
-from conftest import count_factorizations, random_design
+from conftest import count_factorizations, count_inverses, random_design
 
 
 def quantitative_design(M) -> DesignMatrix:
@@ -433,6 +433,21 @@ class TestQrFitGate:
         assert calls == [("qr", A.shape), ("svd", (20, GATE_K, GATE_K))]
         monkeypatch.undo()
         self.assert_same_as_svd_on_every_draw(A)
+
+    def test_floor_past_the_threshold_skips_the_inverses(self, monkeypatch):
+        A = stacked_designs(np.geomspace(1.0, 1e3, 30))
+        gated = _qr_fit(A, GATE_K)
+        # the least floor whose bound k / floor is half the gate's threshold
+        least = 2 * GATE_K * GATE_N * np.finfo(float).eps / linalg._GATE_MARGIN
+        for floor, proven in ((least * (1 + 1e-9), True), (1.0, True), (least * (1 - 1e-9), False),
+                              (0.0, False), (-1.0, False), (np.nan, False)):
+            inverses = count_inverses(monkeypatch)
+            beta, singular, R, Rk_inv = _qr_fit(A, GATE_K, floor)
+            monkeypatch.undo()
+            assert inverses == ([] if proven else [(len(A), GATE_K, GATE_K)])
+            assert Rk_inv.shape == ((0,) if proven else (len(A),)) + (GATE_K, GATE_K)
+            assert not singular.any() and singular.shape == (len(A),)
+            assert beta.tobytes() == gated[0].tobytes() and R.tobytes() == gated[2].tobytes()
 
     def test_kg_draws_take_no_svd(self, monkeypatch, kg_design, kg_y):
         calls = count_factorizations(monkeypatch)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from collindiag import (
@@ -19,6 +21,8 @@ from collindiag import (
     perturb_once,
 )
 from collindiag.dataset import DesignMatrix
+
+from conftest import count_factorizations, count_inverses
 
 
 def toy_design(n=9):
@@ -108,6 +112,15 @@ class TestPerturbConfig:
     def test_repeated_position_rejected(self):
         with pytest.raises(ValueError, match="position 2 given more than once"):
             PerturbConfig(positions=(2, 1, 2))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            PerturbConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2 ** 70, np.int64(7)])
+    def test_seed_accepted(self, seed):
+        assert PerturbConfig(seed=seed).seed == seed
 
 
 class TestPerturbOnce:
@@ -386,6 +399,122 @@ class TestRedraw:
         assert perturb_n(kg_y, kg_design, PerturbConfig(iterations=20, seed=1)).resamples == 0
 
 
+def column_shift_bound(tol):
+    """The largest move of a column's unit vector when the column moves by
+    tol times its norm, tol < 1."""
+    return 2.0 * math.sin(math.asin(tol) / 2.0)
+
+
+def conditioned_design(rng, n, k, cn):
+    """An n x k design with no intercept whose unit-scaled columns have a
+    condition number of about cn, every column quantitative."""
+    U = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    M = (U * np.geomspace(1.0, 1.0 / cn, k)) @ V.T * 10.0 ** rng.uniform(-3, 3, k)
+    return DesignMatrix(M, False, tuple(range(k)), (), tuple(f"x{j}" for j in range(k)))
+
+
+class TestProvenFloor:
+    """The floor proven from the baseline fit (linalg module docstring)
+    refits the draws without the gate, and changes no bit."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 0.01, 0.3, 0.9, 1 - 1e-6, 1 - 1e-12])
+    def test_column_shift_lemma(self, tol):
+        rng = np.random.default_rng(31)
+        x = rng.normal(3.0, 1.0, 12) * 1e3
+        u = x / np.linalg.norm(x)
+        bound = column_shift_bound(tol)
+        assert bound <= math.sqrt(2.0) * tol
+        for r in rng.normal(0.0, 1.0, (500, x.size)):
+            xp = perturb_column(x, tol, r)
+            assert np.linalg.norm(xp / np.linalg.norm(xp) - u) <= bound * (1 + 1e-9) + 1e-15
+        # the worst direction: r orthogonal to x_p, which turns by arcsin(tol)
+        w = rng.normal(size=x.size)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        theta = math.asin(tol)
+        v = math.cos(theta) * u + math.sin(theta) * w
+        xp = perturb_column(x, tol, np.linalg.norm(x) * math.cos(theta) * v - x)
+        assert np.linalg.norm(xp / np.linalg.norm(xp) - u) == pytest.approx(bound, rel=1e-5,
+                                                                               abs=1e-15)
+
+    def test_column_shift_bound_towards_tol_one(self):
+        tols = 1.0 - np.geomspace(1e-1, 1e-15, 15)
+        bounds = [column_shift_bound(t) for t in tols]
+        assert np.all(np.diff(bounds) > 0.0)
+        assert all(b <= math.sqrt(2.0) * t for b, t in zip(bounds, tols))
+        assert bounds[-1] == pytest.approx(math.sqrt(2.0), rel=1e-7)
+
+    @pytest.mark.parametrize("tol", [0.01, 0.02])
+    def test_weyl_floor_holds_on_every_draw(self, kg_design, kg_y, tol):
+        # the unit-scaled draws stay within sqrt(2 s) tol of the baseline B,
+        # so above the floor that the baseline's R_k^-1 proves
+        X = kg_design
+        _, R, Rk_inv = perturb.linalg._fit(X.X, kg_y)
+        k, s = X.k, len(X.quantitative_idx)
+        floor = (1.0 / np.linalg.norm(Rk_inv * np.linalg.norm(R[:k, :k], axis=0)[:, None])
+                 - math.sqrt(2 * s) * tol)
+        assert floor > 0.0
+        B = X.X / np.linalg.norm(X.X, axis=0)
+        s_min = np.linalg.svd(B, compute_uv=False)[-1]
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            Xp = X.X.copy()
+            for j in X.quantitative_idx:
+                Xp[:, j] = perturb_column(X.X[:, j], tol, rng.normal(10.0, 10.0, X.n))
+            Bp = Xp / np.linalg.norm(Xp, axis=0)
+            shift, s_min_p = np.linalg.norm(Bp - B, 2), np.linalg.svd(Bp, compute_uv=False)[-1]
+            assert shift <= math.sqrt(2 * s) * tol
+            assert s_min_p >= s_min - shift - 1e-15  # Weyl
+            assert s_min_p >= floor
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 5), log_cn=st.floats(0.0, 6.0),
+           tol=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_as_gating_every_draw(self, data, k, log_cn, tol, seed):
+        rng = np.random.default_rng(seed)
+        X = conditioned_design(rng, int(rng.integers(k + 2, 30)), k, 10.0 ** log_cn)
+        y = X.X @ rng.normal(size=k) + rng.normal(size=X.n)
+        positions = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True))
+        cfg = PerturbConfig(tol=tol, iterations=40, positions=positions, seed=seed)
+        proven = perturb_n(y, X, cfg)
+        qr_fit = perturb.linalg._qr_fit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perturb.linalg, "_qr_fit", lambda A, k, floor=0.0: qr_fit(A, k))
+            gated = perturb_n(y, X, cfg)
+        assert proven.achieved_pct.tobytes() == gated.achieved_pct.tobytes()
+        assert proven.change_pct.tobytes() == gated.change_pct.tobytes()
+        assert proven.resamples == gated.resamples
+
+    def test_fixture_draws_take_one_inverse_and_no_svd(self, monkeypatch, fixture_xy):
+        X, y = fixture_xy
+        calls, inverses = count_factorizations(monkeypatch), count_inverses(monkeypatch)
+        perturb_n(y, X, PerturbConfig(iterations=5000, seed=1))
+        assert inverses == [(1, X.k, X.k)]  # the baseline's
+        assert [c for c in calls if c[0] == "svd"] == []
+
+    @staticmethod
+    def assert_every_draw_gated(monkeypatch, X, y, cfg):
+        inverses = count_inverses(monkeypatch)
+        res = perturb_n(y, X, cfg)
+        assert res.resamples == 0
+        assert inverses[0] == (1, X.k, X.k)
+        assert sum(shape[0] for shape in inverses[1:]) == cfg.iterations
+        assert len(inverses) > 2  # more than one block
+
+    @pytest.mark.parametrize("tol", [1.0, 2.5])
+    def test_tol_from_one_gates_every_draw(self, monkeypatch, kg_design, kg_y, tol):
+        self.assert_every_draw_gated(monkeypatch, kg_design, kg_y,
+                                     PerturbConfig(tol=tol, iterations=3000, seed=2))
+
+    def test_floor_missing_the_threshold_gates_every_draw(self, monkeypatch):
+        # scaled CN 1e5: the floor 1 / ||D R_k^-1||_F is ~1e-5, below sqrt(2 s) tol
+        rng = np.random.default_rng(33)
+        X = conditioned_design(rng, 25, 4, 1e5)
+        y = X.X @ rng.normal(size=4) + rng.normal(size=X.n)
+        self.assert_every_draw_gated(monkeypatch, X, y, PerturbConfig(iterations=3000, seed=3))
+
+
 class TestNoiseScale:
     @pytest.mark.parametrize("sd", [1e-300, 1e-200, 1e-150, 1e-100, 1.0,
                                     1e100, 1e150, 1e200, 1e300])
@@ -488,11 +617,11 @@ class TestWorker:
                 raised_in.append(threading.current_thread())
                 raise
 
-        def qr_fit_after_begun(A, k):
+        def qr_fit_after_begun(A, k, floor=0.0):
             if fits:  # every fit after the baseline refits a draw
                 assert begun.wait(timeout=30)
             fits.append(len(A))
-            return qr_fit(A, k)
+            return qr_fit(A, k, floor)
 
         monkeypatch.setattr(perturb, "_scale_noise", scale_noise_on)
         monkeypatch.setattr(perturb.linalg, "_qr_fit", qr_fit_after_begun)

@@ -82,7 +82,7 @@ class TestInterlacing:
 class TestScaleInvariance:
     MEASURE_TOL = 1e-9
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(factor=st.floats(min_value=1e-3, max_value=1e3),
            col=st.integers(min_value=1, max_value=2))
     def test_theil_measures_unchanged(self, theil_design, factor, col):
@@ -279,7 +279,7 @@ class TestOlsProperties:
 
 
 class TestScalarProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(r=st.floats(min_value=-0.999, max_value=0.999))
     def test_two_by_two_correlation_determinant(self, r):
         from test_linalg import design_with_correlation
@@ -288,7 +288,7 @@ class TestScalarProperties:
         assert rep.det_r == pytest.approx(1 - r * r, rel=1e-10, abs=1e-12)
         assert rep.det_r == pytest.approx(np.linalg.det(rep.r), rel=1e-10, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(x=st.floats(min_value=-30, max_value=30),
            df=st.floats(min_value=0.5, max_value=200))
     def test_t_cdf_is_a_probability_and_symmetric(self, x, df):
@@ -296,7 +296,7 @@ class TestScalarProperties:
         assert 0.0 <= p <= 1.0
         assert p + t_cdf(-x, df) == pytest.approx(1.0, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(min_value=-100, max_value=100), min_size=2,
                            max_size=12),
            tol=st.floats(min_value=0.0, max_value=0.5))
@@ -312,7 +312,7 @@ class TestScalarProperties:
         achieved = np.linalg.norm(xp - x) / np.linalg.norm(x)
         assert achieved == pytest.approx(tol, abs=1e-14)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(scale=st.floats(min_value=0.01, max_value=100))
     def test_unit_length_scale_norms(self, scale):
         rng = np.random.default_rng(17)

@@ -19,7 +19,7 @@ from collindiag import (
 )
 from collindiag import linalg
 
-from conftest import count_factorizations
+from conftest import count_factorizations, count_inverses
 from test_properties import aux_regression_vif
 
 
@@ -195,13 +195,7 @@ class TestFactorOnce:
 
     def test_ols_fit_inverts_R_once(self, monkeypatch, kg_design, kg_y):
         # the gate's R_k^-1 gives se as well: one inverse, of a 1-stack
-        shapes = []
-
-        def counted(a, _fn=np.linalg.inv):
-            shapes.append(np.shape(a))
-            return _fn(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        shapes = count_inverses(monkeypatch)
         fit = ols_fit(kg_y, kg_design)
         assert shapes == [(1, kg_design.k, kg_design.k)]
         assert np.isfinite(fit.se).all()
