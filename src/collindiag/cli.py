@@ -103,6 +103,8 @@ def _load_dataset(args) -> Dataset:
     if bool(args.data) == bool(args.fixture):
         raise ValueError("exactly one of --data or --fixture is required")
     if args.data:
+        if args.command in ("ols", "perturb") and not args.response:
+            raise ValueError(f"{args.command} needs a response column: pass --response LABEL")
         return load_csv(args.data, lambda header: roles_from_flags(
             header, args.response, args.dummy, args.quant))
     if args.response or args.dummy or args.quant:

@@ -21,7 +21,6 @@ from . import linalg
 
 __all__ = [
     "ColumnRole",
-    "Column",
     "Dataset",
     "DesignMatrix",
     "load_csv",
@@ -37,24 +36,6 @@ class ColumnRole(str, Enum):
     DUMMY = "dummy"
 
 
-@dataclass(frozen=True)
-class Column:
-    label: str
-    role: ColumnRole
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "role", ColumnRole(self.role))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError(f"column {self.label!r}: values must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"column {self.label!r} contains missing or non-finite values")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
 def _check_unique(labels: tuple[str, ...]) -> None:
     dup = sorted({l for l in labels if labels.count(l) > 1})
     if dup:
@@ -63,32 +44,40 @@ def _check_unique(labels: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Named columns with declared roles; immutable after construction."""
+    """A table with declared roles: column j of the n x m array values is
+    labels[j], in role roles[j] (a ColumnRole or its string).  values is
+    copied once and read-only."""
 
     name: str
-    columns: tuple[Column, ...]
-    skipped: tuple[str, ...] = ()
+    labels: tuple[str, ...]
+    roles: tuple[ColumnRole, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        if not self.columns:
+        labels, roles = tuple(self.labels), tuple(map(ColumnRole, self.roles))
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "values", values)
+        if not labels:
             raise ValueError("dataset has no columns")
-        lengths = {c.values.size for c in self.columns}
-        if len(lengths) != 1:
-            raise ValueError(f"columns have differing lengths: {sorted(lengths)}")
+        if values.shape[1:] != (len(labels),) or len(roles) != len(labels):
+            raise ValueError(f"{len(labels)} labels, {len(roles)} roles, {values.shape} values")
         if self.n < 2:
             raise ValueError("at least 2 observations are required")
-        _check_unique(tuple(c.label for c in self.columns))
-        responses = [c for c in self.columns if c.role is ColumnRole.RESPONSE]
-        if len(responses) > 1:
+        _check_unique(labels)
+        if roles.count(ColumnRole.RESPONSE) > 1:
             raise ValueError("more than one response column declared")
-        for c in self.columns:
-            if c.role is ColumnRole.DUMMY and not np.all(np.isin(c.values, (0.0, 1.0))):
-                raise ValueError(f"dummy column {c.label!r} contains values other than 0 and 1")
+        for label, role, column in zip(labels, roles, values.T):
+            if not np.isfinite(column).all():
+                raise ValueError(f"column {label!r} contains missing or non-finite values")
+            if role is ColumnRole.DUMMY and not np.isin(column, (0.0, 1.0)).all():
+                raise ValueError(f"dummy column {label!r} contains values other than 0 and 1")
 
     @property
     def n(self) -> int:
-        return self.columns[0].values.size
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -200,12 +189,12 @@ def load_csv(path, roles) -> Dataset:
 
     roles maps column labels to ColumnRole (or its string value), or is a
     function of the header returning that map.  Header columns absent
-    from roles are skipped and recorded in Dataset.skipped.  Comma
-    separator, '"' quoting, '.' decimal mark, first row is the header,
-    UTF-8 with or without a byte-order mark.  A cell is a number in
-    numpy's float syntax, optionally quoted and padded with whitespace;
-    no comments.  Blank lines are skipped.  A missing, non-numeric or
-    non-finite cell is an error naming its line and column, never imputed.
+    from roles are skipped.  Comma separator, '"' quoting, '.' decimal
+    mark, first row is the header, UTF-8 with or without a byte-order
+    mark.  A cell is a number in numpy's float syntax, optionally quoted
+    and padded with whitespace; no comments.  Blank lines are skipped.  A
+    missing, non-numeric or non-finite cell is an error naming its line
+    and column, never imputed; a table rule that fails names the file.
     """
     try:  # universal newlines: np.loadtxt rejects a bare '\r' line end
         fh = open(path, encoding="utf-8-sig")
@@ -240,11 +229,11 @@ def load_csv(path, roles) -> Dataset:
     except UnicodeDecodeError:
         raise _not_utf8(path, "utf-8-sig") from None
 
-    return Dataset(
-        name=str(path),
-        columns=tuple(Column(header[j], roles[header[j]], data[:, j]) for j in used),
-        skipped=tuple(label for label in header if label not in roles),
-    )
+    labels = [header[j] for j in used]
+    try:
+        return Dataset(str(path), labels, [roles[label] for label in labels], data[:, used])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _not_utf8(path, encoding: str) -> ValueError:
@@ -288,30 +277,31 @@ def design_matrix(d: Dataset, intercept: bool = True) -> DesignMatrix:
     """Build the design matrix from all non-response columns of d.
 
     The intercept ones column is synthesized first when intercept is true.
-    A zero-variance quantitative column is rejected because a constant
-    regressor duplicates the intercept.
+    A quantitative column of zero variance is rejected whether or not the
+    intercept is synthesized: its correlation with any column is undefined.
     """
-    regressors = [c for c in d.columns if c.role is not ColumnRole.RESPONSE]
+    regressors = [j for j, role in enumerate(d.roles) if role is not ColumnRole.RESPONSE]
     if not regressors:
         raise ValueError("dataset has no regressor columns")
-    for c in regressors:
-        if c.role is ColumnRole.QUANTITATIVE and np.ptp(c.values) == 0.0:
-            raise ValueError(f"quantitative column {c.label!r} has zero variance")
+    for j in regressors:
+        if d.roles[j] is ColumnRole.QUANTITATIVE and np.ptp(d.values[:, j]) == 0.0:
+            raise ValueError(f"quantitative column {d.labels[j]!r} has zero variance")
 
     start = int(intercept)  # regressors follow the intercept column, if any
+    roles = [d.roles[j] for j in regressors]
     return DesignMatrix(
-        X=np.column_stack([np.ones(d.n)] * start + [c.values for c in regressors]),
+        X=np.column_stack([np.ones(d.n)] * start + [d.values[:, j] for j in regressors]),
         intercept_present=intercept,
-        quantitative_idx=tuple(start + i for i, c in enumerate(regressors)
-                               if c.role is ColumnRole.QUANTITATIVE),
-        dummy_idx=tuple(start + i for i, c in enumerate(regressors) if c.role is ColumnRole.DUMMY),
-        labels=("intercept",) * start + tuple(c.label for c in regressors),
+        quantitative_idx=tuple(start + i for i, role in enumerate(roles)
+                               if role is ColumnRole.QUANTITATIVE),
+        dummy_idx=tuple(start + i for i, role in enumerate(roles) if role is ColumnRole.DUMMY),
+        labels=("intercept",) * start + tuple(d.labels[j] for j in regressors),
     )
 
 
 def response_vector(d: Dataset) -> np.ndarray:
-    """The single declared response column of d."""
-    responses = [c for c in d.columns if c.role is ColumnRole.RESPONSE]
+    """The single declared response column of d, as a read-only view."""
+    responses = [j for j, role in enumerate(d.roles) if role is ColumnRole.RESPONSE]
     if len(responses) != 1:
         raise ValueError(f"exactly one response column required, found {len(responses)}")
-    return responses[0].values.copy()
+    return d.values[:, responses[0]]

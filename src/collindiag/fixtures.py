@@ -7,7 +7,7 @@ with income and relative price, and aggregate consumption with three
 income components.
 """
 
-from .dataset import Column, Dataset
+from .dataset import Dataset
 
 __all__ = ["fixture", "FIXTURE_NAMES"]
 
@@ -51,12 +51,12 @@ _KG_ROWS = (
 )
 
 
-# name: (rows, label and role of each column after the year)
+# name: (rows, then the label and the role of each column after the year)
 _FIXTURES = {
-    "theil": (_THEIL_ROWS, (("consumption", "response"), ("income", "quantitative"),
-                            ("relprice", "quantitative"), ("twenties", "dummy"))),
-    "kg": (_KG_ROWS, (("consumption", "response"), ("wage_income", "quantitative"),
-                      ("nonfarm_income", "quantitative"), ("farm_income", "quantitative"))),
+    "theil": (_THEIL_ROWS, ("consumption", "income", "relprice", "twenties"),
+              ("response", "quantitative", "quantitative", "dummy")),
+    "kg": (_KG_ROWS, ("consumption", "wage_income", "nonfarm_income", "farm_income"),
+           ("response", "quantitative", "quantitative", "quantitative")),
 }
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
@@ -64,11 +64,9 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 def fixture(name: str) -> Dataset:
     """Return a built-in dataset by name ('theil' or 'kg')."""
     try:
-        rows, columns = _FIXTURES[name]
+        rows, labels, roles = _FIXTURES[name]
     except KeyError:
         raise ValueError(
             f"unknown fixture {name!r}; valid names: {', '.join(FIXTURE_NAMES)}"
         ) from None
-    return Dataset(name=name, skipped=("year",), columns=tuple(
-        Column(label, role, [row[j] for row in rows])
-        for j, (label, role) in enumerate(columns, start=1)))
+    return Dataset(name, labels, roles, [row[1:] for row in rows])

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -38,8 +36,9 @@ def kg_y(kg_dataset):
 
 def subset_design(dataset: Dataset, labels: tuple[str, ...]):
     """Design matrix over a subset of regressor columns of a dataset."""
-    keep = [c for c in dataset.columns if c.label in labels]
-    return design_matrix(dataclasses.replace(dataset, columns=tuple(keep)))
+    keep = [j for j, label in enumerate(dataset.labels) if label in labels]
+    return design_matrix(Dataset(dataset.name, [dataset.labels[j] for j in keep],
+                                 [dataset.roles[j] for j in keep], dataset.values[:, keep]))
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,13 @@ class TestDataSourceFlags:
         assert code == 2
         assert "apply only to --data" in err
 
+    @pytest.mark.parametrize("command", ["ols", "perturb"])
+    def test_response_flag_named_when_missing(self, capsys, command):
+        path = Path(__file__).parent / "golden" / "theil_income.csv"
+        code, out, err = run(capsys, command, "--data", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} needs a response column: pass --response LABEL\n"
+
     def test_missing_data_file(self, capsys):
         code, _, err = run(capsys, "vif", "--data", "/nonexistent/file.csv")
         assert code == 2

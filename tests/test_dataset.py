@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from collindiag import (
-    Column,
     ColumnRole,
     Dataset,
     DesignMatrix,
@@ -23,11 +22,10 @@ THEIL_ROLES = {
 
 def write_theil_csv(tmp_path, theil_dataset, extra_header=None):
     path = tmp_path / "theil.csv"
-    labels = [c.label for c in theil_dataset.columns]
-    header = labels + (extra_header or [])
+    header = list(theil_dataset.labels) + (extra_header or [])
     rows = []
     for i in range(theil_dataset.n):
-        row = [repr(float(c.values[i])) for c in theil_dataset.columns]
+        row = [repr(float(v)) for v in theil_dataset.values[i]]
         row += ["1"] * len(extra_header or [])
         rows.append(",".join(row))
     path.write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -39,17 +37,17 @@ class TestLoadCsv:
         path = write_theil_csv(tmp_path, theil_dataset)
         ds = load_csv(path, THEIL_ROLES)
         assert ds.n == 17
-        assert len(ds.columns) == 4
-        for loaded, original in zip(ds.columns, theil_dataset.columns):
-            assert loaded.label == original.label
-            assert loaded.role == original.role
-            assert_array_equal(loaded.values, original.values)
+        assert len(ds.labels) == 4
+        assert ds.labels == theil_dataset.labels
+        assert ds.roles == theil_dataset.roles
+        assert_array_equal(ds.values, theil_dataset.values)
 
     def test_columns_not_in_roles_are_skipped(self, tmp_path, theil_dataset):
         path = write_theil_csv(tmp_path, theil_dataset, extra_header=["junk"])
         ds = load_csv(path, THEIL_ROLES)
-        assert ds.skipped == ("junk",)
-        assert [c.label for c in ds.columns] == list(THEIL_ROLES)
+        assert ds.labels == tuple(THEIL_ROLES)
+        assert ds.roles == tuple(map(ColumnRole, THEIL_ROLES.values()))
+        assert_array_equal(ds.values, theil_dataset.values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not found"):
@@ -107,7 +105,8 @@ def csv_error(tmp_path, text, roles=AB) -> tuple[str, str]:
 def csv_values(tmp_path, text, roles=AB) -> dict[str, list[float]]:
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8")
-    return {c.label: c.values.tolist() for c in load_csv(path, roles).columns}
+    ds = load_csv(path, roles)
+    return dict(zip(ds.labels, ds.values.T.tolist()))
 
 
 class TestCsvGrammar:
@@ -149,8 +148,9 @@ class TestCsvGrammar:
         path = tmp_path / "d.csv"
         path.write_text('a,note,b\n1,"x,y",2\n3,plain,4\n', encoding="utf-8")
         ds = load_csv(path, AB)
-        assert ds.skipped == ("note",)
-        assert [c.values.tolist() for c in ds.columns] == [[1.0, 3.0], [2.0, 4.0]]
+        assert ds.labels == ("a", "b")
+        assert ds.roles == (ColumnRole.QUANTITATIVE, ColumnRole.QUANTITATIVE)
+        assert ds.values.T.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
@@ -173,7 +173,7 @@ class TestCsvGrammar:
                  for fmt in ("{!r}", "{:.17g}", "{:.3e}", "{:f}", "{:.25E}", " {:+.0f} ")]
         path = tmp_path / "d.csv"
         path.write_text("a\n" + "\n".join(cells) + "\n", encoding="utf-8")
-        assert_array_equal(load_csv(path, {"a": "quantitative"}).columns[0].values,
+        assert_array_equal(load_csv(path, {"a": "quantitative"}).values[:, 0],
                            [float(cell) for cell in cells])
 
     @pytest.mark.parametrize("cell", ["+.5", "5.", "-1E-5", "1e+05", "INF", "-Infinity", "nAn",
@@ -230,13 +230,22 @@ class TestCsvGrammar:
     def test_old_mac_line_endings(self, tmp_path):
         assert csv_values(tmp_path, "a,b\r1,2\r3,4\r") == {"a": [1.0, 3.0], "b": [2.0, 4.0]}
 
+    @pytest.mark.parametrize("text, roles, rule", [
+        ("a,b\n1,2\n", AB, "at least 2 observations are required"),
+        ("a,a\n1,2\n3,4\n", {"a": "quantitative"}, "duplicate column labels: ['a']"),
+        ("a,d\n1,0\n2,2\n", {"a": "quantitative", "d": "dummy"},
+         "dummy column 'd' contains values other than 0 and 1"),
+    ])
+    def test_table_rule_names_the_file(self, tmp_path, text, roles, rule):
+        path, msg = csv_error(tmp_path, text, roles)
+        assert msg == f"{path}: {rule}"
+
     def test_roles_from_a_function_of_the_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,a,b\n1,2,3\n4,5,7\n", encoding="utf-8")
         ds = load_csv(path, lambda header: roles_from_flags(header, "y", quants=["b"]))
-        assert [(c.label, c.role.value) for c in ds.columns] == [
-            ("y", "response"), ("b", "quantitative")]
-        assert ds.skipped == ("a",)
+        assert list(zip(ds.labels, ds.roles)) == [("y", "response"), ("b", "quantitative")]
+        assert ds.values.tolist() == [[1.0, 3.0], [4.0, 7.0]]
 
 
 class TestRolesFromFlags:
@@ -253,39 +262,69 @@ class TestRolesFromFlags:
             roles_from_flags(["y", "a"], "y", dummies=["a"], quants=["a"])
 
 
+QQ = ("quantitative", "quantitative")
+
+
 class TestDataset:
+    """The table gate: one message per rule, over the whole table."""
+
     def test_kg_fixture_shape(self, kg_dataset):
         assert kg_dataset.n == 14
-        assert len(kg_dataset.columns) == 4
+        assert len(kg_dataset.labels) == 4
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            Dataset("bad", (
-                Column("a", "quantitative", [1.0, 2.0]),
-                Column("b", "quantitative", [1.0, 2.0, 3.0]),
-            ))
+        # labels, roles and the columns of values disagree in number
+        with pytest.raises(ValueError, match=r"^2 labels, 2 roles, \(2, 3\) values$"):
+            Dataset("bad", ("a", "b"), QQ, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(ValueError, match=r"^2 labels, 1 roles, \(2, 2\) values$"):
+            Dataset("bad", ("a", "b"), ("quantitative",), [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=r"^1 labels, 1 roles, \(2,\) values$"):
+            Dataset("bad", ("a",), ("quantitative",), [1.0, 2.0])
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="^dataset has no columns$"):
+            Dataset("bad", (), (), np.empty((3, 0)))
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset("bad", (
-                Column("a", "quantitative", [1.0, 2.0]),
-                Column("a", "quantitative", [3.0, 4.0]),
-            ))
+        with pytest.raises(ValueError, match=r"^duplicate column labels: \['a'\]$"):
+            Dataset("bad", ("a", "a"), QQ, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_single_observation_rejected(self):
-        with pytest.raises(ValueError, match="2 observations"):
-            Dataset("bad", (Column("a", "quantitative", [1.0]),))
+        with pytest.raises(ValueError, match="^at least 2 observations are required$"):
+            Dataset("bad", ("a",), ("quantitative",), [[1.0]])
 
     def test_nan_is_a_missing_value(self):
-        with pytest.raises(ValueError, match="missing"):
-            Column("a", "quantitative", [1.0, float("nan")])
+        with pytest.raises(ValueError, match="^column 'a' contains missing or non-finite values$"):
+            Dataset("bad", ("a",), ("quantitative",), [[1.0], [float("nan")]])
+
+    def test_first_non_finite_column_is_named(self):
+        with pytest.raises(ValueError, match="^column 'b' contains missing or non-finite values$"):
+            Dataset("bad", ("a", "b", "c"), (*QQ, "quantitative"),
+                    [[1.0, 2.0, float("nan")], [3.0, float("inf"), 4.0]])
 
     def test_two_responses_rejected(self):
-        with pytest.raises(ValueError, match="response"):
-            Dataset("bad", (
-                Column("y1", "response", [1.0, 2.0]),
-                Column("y2", "response", [3.0, 4.0]),
-            ))
+        with pytest.raises(ValueError, match="^more than one response column declared$"):
+            Dataset("bad", ("y1", "y2"), ("response", "response"), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_dummy_with_other_values_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^dummy column 'd' contains values other than 0 and 1$"):
+            Dataset("bad", ("a", "d"), ("quantitative", "dummy"), [[1.0, 0.0], [2.0, 0.5]])
+
+    def test_roles_given_as_strings_are_column_roles(self):
+        ds = Dataset("t", ("y", "x", "d"), ("response", "quantitative", "dummy"),
+                     [[1.0, 2.0, 0.0], [3.0, 5.0, 1.0]])
+        assert ds.roles == (ColumnRole.RESPONSE, ColumnRole.QUANTITATIVE, ColumnRole.DUMMY)
+        assert all(type(role) is ColumnRole for role in ds.roles)
+        assert ds.labels == ("y", "x", "d")
+
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ds = Dataset("t", ("a", "b"), QQ, source)
+        source[0, 0] = 9.0
+        assert ds.values[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 0] = 9.0
 
 
 class TestDesignMatrix:
@@ -304,20 +343,19 @@ class TestDesignMatrix:
         assert kg_design.dummy_idx == ()
 
     def test_round_trip_reproduces_columns_bit_exactly(self, theil_dataset, theil_design):
-        regressors = [c for c in theil_dataset.columns if c.role is not ColumnRole.RESPONSE]
-        for j, col in enumerate(regressors, start=1):
-            assert_array_equal(theil_design.X[:, j], col.values)
+        regressors = [j for j, role in enumerate(theil_dataset.roles)
+                      if role is not ColumnRole.RESPONSE]
+        for i, j in enumerate(regressors, start=1):
+            assert_array_equal(theil_design.X[:, i], theil_dataset.values[:, j])
 
     def test_zero_variance_quantitative_rejected(self):
-        ds = Dataset("bad", (
-            Column("y", "response", [1.0, 2.0, 3.0]),
-            Column("const", "quantitative", [5.0, 5.0, 5.0]),
-        ))
+        ds = Dataset("bad", ("y", "const"), ("response", "quantitative"),
+                     [[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         with pytest.raises(ValueError, match="const"):
             design_matrix(ds)
 
     def test_response_only_rejected(self):
-        ds = Dataset("bad", (Column("y", "response", [1.0, 2.0]),))
+        ds = Dataset("bad", ("y",), ("response",), [[1.0], [2.0]])
         with pytest.raises(ValueError, match="no regressor"):
             design_matrix(ds)
 
@@ -381,6 +419,13 @@ class TestResponseVector:
         assert y[-1] == 111.4
 
     def test_no_response_rejected(self):
-        ds = Dataset("bad", (Column("a", "quantitative", [1.0, 2.0]),))
+        ds = Dataset("bad", ("a",), ("quantitative",), [[1.0], [2.0]])
         with pytest.raises(ValueError, match="found 0"):
             response_vector(ds)
+
+    def test_is_a_read_only_view_of_the_table(self, theil_dataset):
+        y = response_vector(theil_dataset)
+        assert np.shares_memory(y, theil_dataset.values)
+        assert_array_equal(y, theil_dataset.values[:, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 0.0

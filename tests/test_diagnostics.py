@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -403,10 +402,10 @@ class TestSlm:
 
     def test_centered_regressor_has_no_cv(self):
         # x has mean 0: CV is undefined, and CN and k^2 are 1 for [1, x] orthogonal
-        from collindiag import Column, Dataset
+        from collindiag import Dataset
 
-        X = design_matrix(Dataset("exact", (Column("y", "response", [0.0, 0.0, -6.0, -6.0]),
-                                            Column("x", "quantitative", [3.0, 3.0, -3.0, -3.0]))))
+        X = design_matrix(Dataset("exact", ("y", "x"), ("response", "quantitative"),
+                                  [[0.0, 3.0], [0.0, 3.0], [-6.0, -3.0], [-6.0, -3.0]]))
         rep = slm(X)
         assert not rep.is_dummy and rep.cv is None and rep.vif == 1.0
         assert rep.cn == pytest.approx(1.0, rel=1e-14)
@@ -480,11 +479,12 @@ class TestMulticol:
         assert report.notes == {"dummy_pct": NEED_ONE_DUMMY, "cn": "needs what kg lacks"}
 
     def test_dummy_only_design_degrades_quantitative_sections(self, theil_dataset):
-        from collindiag import Column, design_matrix
+        from collindiag import Dataset, design_matrix
 
-        twenties = next(c for c in theil_dataset.columns if c.label == "twenties")
-        extra = Column("alt", "dummy", np.resize([1.0, 0.0], theil_dataset.n))
-        ds = dataclasses.replace(theil_dataset, columns=(twenties, extra))
+        twenties = theil_dataset.values[:, theil_dataset.labels.index("twenties")]
+        extra = np.resize([1.0, 0.0], theil_dataset.n)
+        ds = Dataset(theil_dataset.name, ("twenties", "alt"), ("dummy", "dummy"),
+                     np.column_stack([twenties, extra]))
         report = multicol(design_matrix(ds))
         assert report.cv is None
         assert report.notes["cv"] == NEED_ONE_QUANTITATIVE
