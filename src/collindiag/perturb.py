@@ -52,6 +52,10 @@ class PerturbConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        named = [("iterations", self.iterations)] + [("each position", p) for p in self.positions]
+        for name, v in named:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
         for name in ("tol", "noise_mean", "noise_sd"):
             if not math.isfinite(getattr(self, name)):
@@ -164,72 +168,72 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     worked in blocks of about _BLOCK_BYTES.  Each block's noise is one
     rng.standard_normal fill, scaled by noise_sd and shifted by
     noise_mean, draw-major then column order: the stream and values of
-    one rng.normal call per column per draw.  While this thread refits
-    block j, one worker thread draws and builds block j + 1; a block it
-    has not begun when it is needed is built here instead.  Draws failing
-    the singular cut are redrawn in order once the worker is joined, each
-    up to _MAX_RETRIES attempts in all, so only the worker reads rng while
-    a block is in flight and the block size changes no bit."""
+    one rng.normal call per column per draw.  With more than one block, a
+    worker thread only fills: block 0 during the baseline fit, then block
+    j + 1 while this thread scales, builds and refits block j; a fill it
+    has not begun when needed is done here.  Draws failing the singular
+    cut are redrawn in order once the worker is joined, each up to
+    _MAX_RETRIES attempts in all, so only one thread reads rng at a time
+    and the block size changes no bit."""
     sel = list(_selected_columns(X, cfg))
     (n, k), s = X.X.shape, len(sel)
-    beta, R, Rk_inv = linalg._fit(X.X, yv)
-    # Weyl's floor on every draw's smallest scaled singular value (linalg docstring)
-    B_inv = (Rk_inv * linalg._norms(R[:k, :k].T)[:, None]).reshape(-1)
-    floor = 1.0 / linalg._norms(B_inv) - math.sqrt(2 * s) * cfg.tol if cfg.tol < 1 else 0.0
-    x = X.X[:, sel].T  # C-ordered: each row is one selected column
-    base_norm = float(linalg._norms(x.reshape(-1)))
-    beta_norm = float(linalg._norms(beta))
-    if beta_norm == 0.0:
-        raise ValueError("baseline coefficients are all zero: the relative change is undefined")
-
     size = min(count, max(1, _BLOCK_BYTES // (8 * n * (k + 1 + s))))
     bounds = [(start, min(start + size, count)) for start in range(0, count, size)]
-    # allocated once per call: one noise buffer and, with a block drawn
-    # ahead, two of column-major designs [Xp | y] (so W goes in by whole
-    # rows) whose columns of X and y are written here once
-    noise = np.empty((size, s, n))
-    designs = np.empty((min(2, len(bounds)), size, k + 1, n))
-    designs[:, :, :k], designs[:, :, k] = X.X.T, yv
+    # allocated once per call: a noise buffer per block in flight, and one
+    # block of column-major designs [Xp | y] (so W goes in by whole rows)
+    # whose columns of X and y are written here once
+    noise = np.empty((min(2, len(bounds)), size, s, n))
+    designs = np.empty((size, k + 1, n))
+    designs[:, :k], designs[:, k] = X.X.T, yv
 
-    def build(A, c):
-        """Draw c draws' noise, perturb their columns into A[:c] and return
-        their achieved_pct; the noise buffer is reused in place."""
-        W = noise[:c]
-        rng.standard_normal(out=W)
+    def build(W):
+        """Scale the noise W of len(W) draws in place, perturb their columns
+        into designs[:len(W)] and return their achieved_pct."""
         with np.errstate(over="ignore"):  # noise past the largest double is inf
             W *= cfg.noise_sd
             W += cfg.noise_mean
         _scale_noise(W, cfg.tol, x)
         W += x
-        A[:c, sel] = W
+        designs[:len(W), sel] = W
         W -= x
-        return 100.0 * linalg._norms(W.reshape(c, s * n)) / base_norm
+        return 100.0 * linalg._norms(W.reshape(len(W), s * n)) / base_norm
 
-    def refit(A, c):
-        """Refit the c designs A[:c]: (change_pct, singular)."""
+    def refit(c):
+        """Refit designs[:c]: (change_pct, singular)."""
         # _qr_fit rejects an inf perturbation
-        beta_p, singular, _, _ = linalg._qr_fit(A[:c].transpose(0, 2, 1), k, floor)
+        beta_p, singular, _, _ = linalg._qr_fit(designs[:c].transpose(0, 2, 1), k, floor)
         return 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 
-    achieved, change, singular, ahead = np.empty(count), np.empty(count), [], None
+    achieved, change, singular = np.empty(count), np.empty(count), []
     with ThreadPoolExecutor(max_workers=1) as worker:  # its thread starts on the first submit
+        ahead = worker.submit(rng.standard_normal, out=noise[0]) if len(bounds) > 1 else None
+        beta, R, Rk_inv = linalg._fit(X.X, yv)
+        # Weyl's floor on every draw's smallest scaled singular value (linalg docstring)
+        B_inv = (Rk_inv * linalg._norms(R[:k, :k].T)[:, None]).reshape(-1)
+        floor = 1.0 / linalg._norms(B_inv) - math.sqrt(2 * s) * cfg.tol if cfg.tol < 1 else 0.0
+        x = X.X[:, sel].T  # C-ordered: each row is one selected column
+        base_norm = float(linalg._norms(x.reshape(-1)))
+        beta_norm = float(linalg._norms(beta))
+        if beta_norm == 0.0:
+            raise ValueError("baseline coefficients are all zero: the relative change is undefined")
         for b, (start, stop) in enumerate(bounds):
-            A = designs[b % 2]
-            # a block the worker has not begun is built here: a worker not
+            # a fill the worker has not begun is done here: a worker not
             # yet scheduled does not hold up the refits
-            achieved[start:stop] = (build(A, stop - start) if ahead is None or ahead.cancel()
-                                    else ahead.result())
+            W = (rng.standard_normal(out=noise[b % 2, :stop - start])
+                 if ahead is None or ahead.cancel() else ahead.result())
             if stop < count:
-                ahead = worker.submit(build, designs[(b + 1) % 2], min(size, count - stop))
-            change[start:stop], failed = refit(A, stop - start)
+                ahead = worker.submit(rng.standard_normal,
+                                      out=noise[(b + 1) % 2, :min(size, count - stop)])
+            achieved[start:stop] = build(W)
+            change[start:stop], failed = refit(stop - start)
             singular.extend(start + np.flatnonzero(failed))
     resamples = 0
     for i in singular:
         for attempt in range(1, _MAX_RETRIES):  # _MAX_RETRIES draws in all, with the first
             log.warning("perturbed design singular; resampling (attempt %d)", attempt)
             resamples += 1
-            achieved[i] = build(designs[0], 1)[0]
-            change[i:i + 1], (again,) = refit(designs[0], 1)
+            achieved[i] = build(rng.standard_normal(out=noise[0, :1]))[0]
+            change[i:i + 1], (again,) = refit(1)
             if not again:
                 break
         else:
@@ -254,10 +258,11 @@ def perturb_n(y, X: DesignMatrix, cfg: PerturbConfig) -> PerturbResult:
     """Run cfg.iterations independent perturbation draws.
 
     The baseline is fit once.  When the draws take more than one block,
-    one worker thread draws and builds the next block while the calling
-    thread refits the current one, so the call may use a second core
-    whatever the BLAS thread count; the worker is joined before the call
-    returns or raises.  The same seed always reproduces the result bit
+    one worker thread draws the noise of the next block (the first one
+    during the baseline fit) while the calling thread scales, builds and
+    refits the current one, so the call may use a second core whatever
+    the BLAS thread count; the worker is joined before the call returns
+    or raises.  The same seed always reproduces the result bit
     for bit, whatever the block size; the draws match those of one
     rng.normal call per column per draw, and resampled draws take the
     stream after the last one.

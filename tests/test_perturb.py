@@ -1,9 +1,11 @@
 import logging
 import math
+import re
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from collindiag import (
     perturb_once,
 )
 from collindiag.dataset import DesignMatrix
+from collindiag.linalg import SINGULAR_MESSAGE
 
 from conftest import count_factorizations, count_inverses
 
@@ -121,6 +124,23 @@ class TestPerturbConfig:
     @pytest.mark.parametrize("seed", [None, 0, 2 ** 70, np.int64(7)])
     def test_seed_accepted(self, seed):
         assert PerturbConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("field,value,bad", [
+        ("iterations", 2.5, 2.5), ("iterations", True, True), ("iterations", "3", "3"),
+        ("iterations", np.float64(3.0), np.float64(3.0)), ("positions", (1.7,), 1.7),
+        ("positions", (True,), True), ("positions", (2, np.bool_(True)), np.bool_(True)),
+        ("positions", (1, 2.0), 2.0),
+    ])
+    def test_non_integer_count_rejected(self, field, value, bad):
+        name = "iterations" if field == "iterations" else "each position"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(bad))}$"):
+            PerturbConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self, theil_design, theil_y):
+        cfg = PerturbConfig(iterations=np.int64(3), positions=(np.int32(2), np.uint8(1)), seed=1)
+        assert cfg.positions == (2, 1) and all(type(p) is int for p in cfg.positions)
+        want = perturb_n(theil_y, theil_design, PerturbConfig(iterations=3, positions=(2, 1), seed=1))
+        assert perturb_n(theil_y, theil_design, cfg).change_pct.tobytes() == want.change_pct.tobytes()
 
 
 class TestPerturbOnce:
@@ -593,10 +613,10 @@ class TestWorker:
         perturb_n(kg_y, kg_design, cfg)
         self.assert_one_joined(started, before)
 
-    def test_joined_after_the_worker_raises(self, started, monkeypatch):
-        # with seed 29, draw 1 (built on this thread) has a finite noise norm
-        # and draw 2 (the worker's first block) one that overflows to inf;
-        # draw 1 is refit only once the worker has begun draw 2
+    def test_joined_after_the_calling_thread_raises(self, started, monkeypatch):
+        # with seed 29, draw 1 has a finite noise norm and draw 2 one that
+        # overflows to inf; draw 2 is scaled, and raises, on this thread
+        # while the worker fills draw 3
         X, y = TestRedraw().design()
         cfg = PerturbConfig(noise_mean=0.0, noise_sd=1e308, iterations=20, positions=(1,),
                             seed=29)
@@ -605,30 +625,86 @@ class TestWorker:
         norms = perturb.linalg._norms(z)
         assert np.isfinite(norms[0]) and not np.isfinite(norms[1])
         monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
-        begun, raised_in, fits = threading.Event(), [], []
-        scale_noise, qr_fit = perturb._scale_noise, perturb.linalg._qr_fit
+        fills, third_begun, scaled_on, raised_on = [], threading.Event(), [], []
+        default_rng, scale_noise = np.random.default_rng, perturb._scale_noise
+
+        class RecordedRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *, out):
+                fills.append(threading.current_thread())
+                if len(fills) == 3:
+                    third_begun.set()
+                return self.rng.standard_normal(out=out)
 
         def scale_noise_on(W, tol, x):
-            if threading.current_thread() is not threading.main_thread():
-                begun.set()
+            scaled_on.append(threading.current_thread())
+            if len(scaled_on) == 2:  # draw 3's fill was submitted before draw 2 is scaled
+                assert third_begun.wait(timeout=30)
             try:
                 return scale_noise(W, tol, x)
             except ValueError:
-                raised_in.append(threading.current_thread())
+                raised_on.append(threading.current_thread())
                 raise
 
-        def qr_fit_after_begun(A, k, floor=0.0):
-            if fits:  # every fit after the baseline refits a draw
-                assert begun.wait(timeout=30)
-            fits.append(len(A))
-            return qr_fit(A, k, floor)
-
+        monkeypatch.setattr(np.random, "default_rng", RecordedRng)
         monkeypatch.setattr(perturb, "_scale_noise", scale_noise_on)
-        monkeypatch.setattr(perturb.linalg, "_qr_fit", qr_fit_after_begun)
-        before = threading.active_count()
+        before, here = threading.active_count(), threading.current_thread()
         with pytest.raises(ValueError, match="noise vector has a zero or non-finite norm"):
             perturb_n(y, X, cfg)
-        assert raised_in == started
+        assert scaled_on == [here, here] and raised_on == [here]
+        assert len(fills) == 3 and fills[2] is started[0]
+        self.assert_one_joined(started, before)
+
+    def test_worker_only_fills(self, started, monkeypatch, kg_design, kg_y):
+        # one-draw blocks: block 0's fill is submitted before the baseline
+        # fit, and every scaling and every fit runs on the calling thread
+        cfg = PerturbConfig(iterations=5, seed=1)
+        want = perturb_n(kg_y, kg_design, cfg)
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(kg_design, cfg))
+        calls = []
+
+        def recorded(name, f):
+            def call(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                            recorded("submit", ThreadPoolExecutor.submit))
+        monkeypatch.setattr(perturb.linalg, "_fit", recorded("_fit", perturb.linalg._fit))
+        monkeypatch.setattr(perturb.linalg, "_qr_fit", recorded("_qr_fit", perturb.linalg._qr_fit))
+        monkeypatch.setattr(perturb, "_scale_noise", recorded("_scale_noise", perturb._scale_noise))
+        got = perturb_n(kg_y, kg_design, cfg)
+        names = [name for name, _ in calls]
+        assert names[:2] == ["submit", "_fit"]
+        assert (names.count("submit"), names.count("_scale_noise"), names.count("_qr_fit")) == (5, 5, 6)
+        here = threading.current_thread()
+        assert all(thread is here for name, thread in calls if name != "submit")
+        assert len(started) == 1
+        assert got.achieved_pct.tobytes() == want.achieved_pct.tobytes()
+        assert got.change_pct.tobytes() == want.change_pct.tobytes()
+
+    @pytest.mark.parametrize("case", ["all-zero beta", "duplicated column"])
+    def test_joined_after_the_baseline_raises(self, started, monkeypatch, case):
+        # block 0 is filled ahead while the baseline is fit; a baseline that
+        # raises gives the error of a one-block call, after the join
+        X = toy_design()
+        if case == "all-zero beta":
+            y, error, match = np.zeros(X.n), ValueError, "baseline coefficients are all zero"
+        else:
+            X = DesignMatrix(X.X[:, [0, 1, 1]], True, (1, 2), (), ("intercept", "x1", "x1b"))
+            y, error, match = X.X[:, 1] + 1.0, SingularMatrixError, SINGULAR_MESSAGE
+        cfg = PerturbConfig(iterations=3, seed=1)
+        with pytest.raises(error) as one_block:
+            perturb_n(y, X, cfg)
+        assert started == [] and str(one_block.value).startswith(match)
+        monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(X, cfg))
+        before = threading.active_count()
+        with pytest.raises(error) as ahead:
+            perturb_n(y, X, cfg)
+        assert str(ahead.value) == str(one_block.value)
         self.assert_one_joined(started, before)
 
     def test_joined_after_the_redraw_limit(self, started, monkeypatch):
