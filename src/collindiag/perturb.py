@@ -181,10 +181,9 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
     bounds = [(start, min(start + size, count)) for start in range(0, count, size)]
     # allocated once per call: a noise buffer per block in flight, and one
     # block of column-major designs [Xp | y] (so W goes in by whole rows)
-    # whose columns of X and y are written here once
+    # whose columns of X and y are written once, after the baseline fit
     noise = np.empty((min(2, len(bounds)), size, s, n))
     designs = np.empty((size, k + 1, n))
-    designs[:, :k], designs[:, k] = X.X.T, yv
 
     def build(W):
         """Scale the noise W of len(W) draws in place, perturb their columns
@@ -216,6 +215,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         beta_norm = float(linalg._norms(beta))
         if beta_norm == 0.0:
             raise ValueError("baseline coefficients are all zero: the relative change is undefined")
+        designs[:, :k], designs[:, k] = X.X.T, yv
         for b, (start, stop) in enumerate(bounds):
             # a fill the worker has not begun is done here: a worker not
             # yet scheduled does not hold up the refits

@@ -240,6 +240,16 @@ class TestPerturbN:
         assert s.q2_5 == pytest.approx(float(np.percentile(c, 2.5)), abs=0)
         assert s.q97_5 == pytest.approx(float(np.percentile(c, 97.5)), abs=0)
 
+    @pytest.mark.parametrize("one_draw_each", [False, True])
+    def test_wrong_length_response_rejected(self, monkeypatch, kg_design, kg_y, one_draw_each):
+        # in one block or in many drawn ahead, the baseline fit names the length
+        cfg = PerturbConfig(iterations=3, seed=1)
+        if one_draw_each:
+            monkeypatch.setattr(perturb, "_BLOCK_BYTES", one_draw_blocks(kg_design, cfg))
+        n = kg_design.n
+        with pytest.raises(ValueError, match=rf"^response length \({n - 1},\) does not match {n} rows$"):
+            perturb_n(kg_y[:-1], kg_design, cfg)
+
 
 class StubRng:
     """Hands out the values of the given noise arrays in order, as many
