@@ -309,20 +309,12 @@ def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHO
 def vif(X: DesignMatrix) -> tuple[tuple[str, float], ...]:
     """Variance inflation factors: diagonal of the inverted correlation
     matrix of the quantitative regressors, from the SVD of the
-    unit-scaled centered block."""
+    unit-scaled centered block.  Past the singular cut it raises
+    linalg.scaled_svd's SingularMatrixError, as every measure does: no pair is named."""
     labels = X.quantitative_labels
     if len(labels) < 2:
         raise _Inapplicable(NEED_TWO_QUANTITATIVE)
-    try:
-        return tuple(zip(labels, linalg._inverse_diag(*_centered_svd(X)).tolist()))
-    except linalg.SingularMatrixError:
-        pass  # raised again below, naming the worst pair, with no chained traceback
-    R, _ = _pearson(_centered_factor(X))
-    i, j = np.triu_indices(len(labels), 1)
-    w = int(np.argmax(np.abs(R[i, j])))
-    raise linalg.SingularMatrixError(
-        f"correlation matrix is numerically singular; "
-        f"worst pair {labels[i[w]]!r}, {labels[j[w]]!r} with r = {R[i[w], j[w]]:.7g}")
+    return tuple(zip(labels, linalg._inverse_diag(*_centered_svd(X)).tolist()))
 
 
 def condition_number(X: DesignMatrix, include_intercept: bool = True) -> float:

@@ -179,8 +179,8 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
     beta, singular, R, Rk_inv = _qr_fit(np.column_stack([A, y])[None], k)
     if singular[0]:
-        unit_length_scale(R[0, :k, :k])
-        raise SingularMatrixError(SINGULAR_MESSAGE)
+        scaled_svd(R[0, :k, :k], n)  # words the error: a zero column, or the cut
+        raise SingularMatrixError(SINGULAR_MESSAGE)  # a zero pivot the SVD does not confirm
     return beta[0], R[0], Rk_inv[0]
 
 

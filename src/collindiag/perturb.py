@@ -103,13 +103,12 @@ def perturb_column(x, tol: float, r) -> np.ndarray:
     if xv.shape != rv.shape:
         raise ValueError("x and r must have the same shape")
     linalg._check_finite(xv)
-    return xv + _scale_noise(rv, tol, xv)
+    return xv + _scale_noise(rv, tol, linalg._norms(xv))
 
 
-def _scale_noise(R: np.ndarray, tol: float, x: np.ndarray) -> np.ndarray:
+def _scale_noise(R: np.ndarray, tol: float, x_norms: np.ndarray) -> np.ndarray:
     """Scale each noise vector r along the last axis of R, in place, to the
-    perturbation tol * r * (||x|| / ||r||) of its column x (the rows of x)."""
-    x_norms = linalg._norms(x)
+    perturbation tol * r * (||x|| / ||r||) of its column x, ||x|| in x_norms."""
     if not np.all(x_norms > 0.0):
         raise ValueError("cannot perturb a zero column")
     r_norms = linalg._norms(R)
@@ -191,7 +190,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         with np.errstate(over="ignore"):  # noise past the largest double is inf
             W *= cfg.noise_sd
             W += cfg.noise_mean
-        _scale_noise(W, cfg.tol, x)
+        _scale_noise(W, cfg.tol, x_norms)
         W += x
         designs[:len(W), sel] = W
         W -= x
@@ -211,6 +210,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         B_inv = (Rk_inv * linalg._norms(R[:k, :k].T)[:, None]).reshape(-1)
         floor = 1.0 / linalg._norms(B_inv) - math.sqrt(2 * s) * cfg.tol if cfg.tol < 1 else 0.0
         x = X.X[:, sel].T  # C-ordered: each row is one selected column
+        x_norms = linalg._norms(x)  # none is zero: _fit has named a zero column
         base_norm = float(linalg._norms(x.reshape(-1)))
         beta_norm = float(linalg._norms(beta))
         if beta_norm == 0.0:

@@ -32,6 +32,7 @@ from collindiag.diagnostics import (
     NEED_TWO_QUANTITATIVE,
     SLM_NEEDS_TWO_COLUMNS,
 )
+from collindiag.linalg import SINGULAR_MESSAGE
 
 from conftest import count_factorizations, random_design
 
@@ -185,15 +186,16 @@ class TestVif:
         for design in (kg_design, theil_design):
             assert all(v >= 1.0 - 1e-12 for _, v in vif(design))
 
-    def test_near_singular_names_worst_pair(self):
+    def test_past_the_cut_raises_the_cut_message(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=20)
         X = np.column_stack([np.ones(20), x, x + 1e-14 * rng.normal(size=20),
                              rng.normal(size=20)])
         design = DesignMatrix(X=X, intercept_present=True, quantitative_idx=(1, 2, 3),
                               dummy_idx=(), labels=("intercept", "a", "b", "c"))
-        with pytest.raises(SingularMatrixError, match="'a', 'b'"):
+        with pytest.raises(SingularMatrixError) as raised:
             vif(design)
+        assert str(raised.value) == SINGULAR_MESSAGE
 
 
 class TestConditionNumber:
@@ -537,5 +539,4 @@ class TestSharedFactors:
             with pytest.raises(SingularMatrixError) as again:
                 measure(X)
             assert str(again.value) == str(first.value)
-        assert "'a', 'b'" in str(first.value)
-        assert not any(key[0] in ("_block_svd", "_vifs") for key in X._shared)
+        assert not any(key[0] in ("_block_svd", "_centered_svd") for key in X._shared)

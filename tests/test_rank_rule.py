@@ -9,6 +9,7 @@ from collindiag import (
     DesignMatrix,
     PerturbConfig,
     SingularMatrixError,
+    cns,
     condition_number,
     least_squares,
     multicol,
@@ -101,7 +102,23 @@ class TestOneRuleEverywhere:
     """Designs at scaled CN 1e2, 1e3, ..., 1e16.  With n = 50 the cut
     sits at CN ~ 9e13, between two decades.  The designs carry no
     dummies, so the intercept-plus-quantitative block that stewart_index
-    and vif test is the whole design."""
+    and vif test is the whole design.  Past the cut, every measure and
+    fit raises linalg.scaled_svd's one message."""
+
+    @staticmethod
+    def outcomes(design, y) -> list:
+        """Per measure and fit: None if it returns, else its SingularMatrixError's message."""
+        outcomes = []
+        for call in (lambda: condition_number(design), lambda: cns(design),
+                     lambda: vif(design), lambda: stewart_index(design),
+                     lambda: multicol(design), lambda: least_squares(design.X, y),
+                     lambda: ols_fit(y, design)):
+            try:
+                call()
+                outcomes.append(None)
+            except SingularMatrixError as exc:
+                outcomes.append(str(exc))
+        return outcomes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_raise_or_all_return_as_matrix_rank_says(self, seed):
@@ -109,19 +126,23 @@ class TestOneRuleEverywhere:
         for exponent in range(2, 17):
             design = design_with_cn(10.0 ** exponent, 50, seed)
             y = design.X @ np.ones(design.k) + np.random.default_rng(seed).normal(size=50)
-            outcomes = []
-            for call in (lambda: condition_number(design), lambda: vif(design),
-                         lambda: stewart_index(design), lambda: least_squares(design.X, y),
-                         lambda: ols_fit(y, design)):
-                try:
-                    call()
-                    outcomes.append(True)
-                except SingularMatrixError:
-                    outcomes.append(False)
+            outcomes = self.outcomes(design, y)
             full_rank = np.linalg.matrix_rank(unit_scaled(design.X)) == design.k
-            assert outcomes == [full_rank] * 5, (exponent, outcomes, full_rank)
+            want = None if full_rank else linalg.SINGULAR_MESSAGE
+            assert outcomes == [want] * 7, (exponent, outcomes, full_rank)
             outcomes_seen.add(full_rank)
         assert outcomes_seen == {True, False}
+
+    @pytest.mark.parametrize("relation", ["x3 = x1", "x3 = 2 x1 - x2"])
+    def test_an_exact_relation_raises_one_message_everywhere(self, relation):
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.normal(2.0, 1.0, (2, 50))
+        x3 = x1.copy() if relation == "x3 = x1" else 2.0 * x1 - x2
+        design = DesignMatrix(X=np.column_stack([np.ones(50), x1, x2, x3]),
+                              intercept_present=True, quantitative_idx=(1, 2, 3), dummy_idx=(),
+                              labels=("intercept", "x1", "x2", "x3"))
+        y = x1 + x2 + rng.normal(size=50)
+        assert self.outcomes(design, y) == [linalg.SINGULAR_MESSAGE] * 7
 
 
 class TestFactorOnce:
