@@ -69,11 +69,9 @@ class Dataset:
         _check_unique(labels)
         if roles.count(ColumnRole.RESPONSE) > 1:
             raise ValueError("more than one response column declared")
-        for label, role, column in zip(labels, roles, values.T):
+        for label, column in zip(labels, values.T):
             if not np.isfinite(column).all():
                 raise ValueError(f"column {label!r} contains missing or non-finite values")
-            if role is ColumnRole.DUMMY and not np.isin(column, (0.0, 1.0)).all():
-                raise ValueError(f"dummy column {label!r} contains values other than 0 and 1")
 
     @property
     def n(self) -> int:
@@ -86,7 +84,12 @@ class DesignMatrix:
 
     When intercept_present, column 0 is exactly the all-ones vector.
     quantitative_idx and dummy_idx are 0-based column indices into X and,
-    together with the intercept, partition all columns.
+    together with the intercept, partition all columns.  Construction is
+    the one gate of every design, built from a table or by hand: X is a
+    finite 2-d matrix, the labels are unique and one per column, the roles
+    partition the columns, a dummy column holds only 0 and 1, and no
+    quantitative column is constant (its correlation with any column is
+    undefined, with or without an intercept).  Errors name the column.
     """
 
     X: np.ndarray
@@ -120,6 +123,12 @@ class DesignMatrix:
         if len(self.quantitative_idx) + len(self.dummy_idx) + int(self.intercept_present) != k \
                 or claimed != set(range(k)):
             raise ValueError("column roles do not partition the design matrix columns")
+        for i in self.dummy_idx:
+            if not np.isin(X[:, i], (0.0, 1.0)).all():
+                raise ValueError(f"dummy column {self.labels[i]!r} contains values other than 0 and 1")
+        for i in self.quantitative_idx:
+            if np.ptp(X[:, i]) == 0.0:
+                raise ValueError(f"quantitative column {self.labels[i]!r} has zero variance")
 
     @property
     def n(self) -> int:
@@ -141,14 +150,16 @@ class DesignMatrix:
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """R of the QR factorization X = QR, computed once per design.
+        """R of A = QR, computed once per design: A is X, or [X | 1], the
+        ones column appended last, when X has no intercept.
 
-        X[:, cols] = Q R[:, cols] with Q orthonormal, so every column
+        A[:, cols] = Q R[:, cols] with Q orthonormal, so every column
         block of R has the singular values, column norms and cross
-        products of the same block of X.  Caching is safe because X is
+        products of the same block of A.  Caching is safe because X is
         a read-only copy; so is R.
         """
-        R = linalg._r_factor(self.X)
+        A = self.X if self.intercept_present else np.column_stack([self.X, np.ones(self.n)])
+        R = linalg._r_factor(A)
         R.flags.writeable = False
         return R
 
@@ -277,26 +288,25 @@ def design_matrix(d: Dataset, intercept: bool = True) -> DesignMatrix:
     """Build the design matrix from all non-response columns of d.
 
     The intercept ones column is synthesized first when intercept is true.
-    A quantitative column of zero variance is rejected whether or not the
-    intercept is synthesized: its correlation with any column is undefined.
+    A rule of DesignMatrix that the design breaks is an error naming d.
     """
     regressors = [j for j, role in enumerate(d.roles) if role is not ColumnRole.RESPONSE]
     if not regressors:
-        raise ValueError("dataset has no regressor columns")
-    for j in regressors:
-        if d.roles[j] is ColumnRole.QUANTITATIVE and np.ptp(d.values[:, j]) == 0.0:
-            raise ValueError(f"quantitative column {d.labels[j]!r} has zero variance")
+        raise ValueError(f"{d.name}: dataset has no regressor columns")
 
     start = int(intercept)  # regressors follow the intercept column, if any
     roles = [d.roles[j] for j in regressors]
-    return DesignMatrix(
-        X=np.column_stack([np.ones(d.n)] * start + [d.values[:, j] for j in regressors]),
-        intercept_present=intercept,
-        quantitative_idx=tuple(start + i for i, role in enumerate(roles)
-                               if role is ColumnRole.QUANTITATIVE),
-        dummy_idx=tuple(start + i for i, role in enumerate(roles) if role is ColumnRole.DUMMY),
-        labels=("intercept",) * start + tuple(d.labels[j] for j in regressors),
-    )
+    try:
+        return DesignMatrix(
+            X=np.column_stack([np.ones(d.n)] * start + [d.values[:, j] for j in regressors]),
+            intercept_present=intercept,
+            quantitative_idx=tuple(start + i for i, role in enumerate(roles)
+                                   if role is ColumnRole.QUANTITATIVE),
+            dummy_idx=tuple(start + i for i, role in enumerate(roles) if role is ColumnRole.DUMMY),
+            labels=("intercept",) * start + tuple(d.labels[j] for j in regressors),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{d.name}: {exc}") from None
 
 
 def response_vector(d: Dataset) -> np.ndarray:

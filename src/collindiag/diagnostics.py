@@ -217,50 +217,38 @@ def _block_svd(X: DesignMatrix, cols: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return linalg.scaled_svd(X.factors.take(cols, axis=1), X.n)
 
 
-def _intercept_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
-    return (0, *X.quantitative_idx) if X.intercept_present else X.quantitative_idx
+def _ones_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
+    """The ones column of X.factors (see DesignMatrix.factors), then the quantitative ones."""
+    return (0 if X.intercept_present else X.k, *X.quantitative_idx)
 
 
 @_once
-def _quant_stats(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range, coefficient of variation and centered flag (see _cvs) of each
+def _quant_stats(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient of variation and centered flag (see _cvs) of each
     quantitative column, in one pass over them: the columns are gathered
     as contiguous rows, so means sum as a column's would, ~1 MiB a block."""
     quant = list(X.quantitative_idx)
     step = max(1, (1 << 20) // (8 * X.n))
     blocks = (X.X.T[quant[i:i + step]] for i in range(0, len(quant), step))
-    stats = [(np.ptp(rows, axis=1), *_cvs(rows)) for rows in blocks]
+    stats = [_cvs(rows) for rows in blocks]
     return tuple(np.concatenate(parts) for parts in zip(*stats))
 
 
 @_once
 def _centered_factor(X: DesignMatrix) -> np.ndarray:
-    """Triangular T with T'T = C'C, C the centered quantitative block.
-
-    With an intercept, T is the trailing block of a small QR of the
-    intercept-plus-quantitative columns of X.factors: the leading column
-    of that QR spans the ones vector, so the rest spans the centered
-    columns.  Without an intercept the block is centered explicitly.
-    A zero-variance column has no correlation with anything and is
-    rejected by name.
-    """
-    ptp = _quant_stats(X)[0]
-    if not ptp.all():  # the first zero is the first minimum
-        label = X.quantitative_labels[ptp.argmin()]
-        raise ValueError(f"quantitative column {label!r} has zero variance")
-    if X.intercept_present:
-        return np.linalg.qr(X.factors.take(_intercept_quant_cols(X), axis=1), mode="r")[1:, 1:]
-    Q = X.X[:, list(X.quantitative_idx)]
-    return linalg._r_factor(Q - Q.mean(axis=0))
+    """Triangular T with T'T = C'C, C the centered quantitative block: the
+    trailing block of a small QR of the ones and quantitative columns of
+    X.factors.  The leading column of that QR spans the ones vector, so
+    the rest spans the centered columns, with or without an intercept."""
+    return np.linalg.qr(X.factors.take(_ones_quant_cols(X), axis=1), mode="r")[1:, 1:]
 
 
 @_once
 def _centered_svd(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled SVD (s, Vt) of the centered factor T, past the cut.  With an
-    intercept, T comes from [1, Q] by orthogonal steps, so [1, Q] must pass too."""
+    """Scaled SVD (s, Vt) of the centered factor T, past the cut.  T comes
+    from [1, Q] by orthogonal steps, so [1, Q] must pass too."""
     T = _centered_factor(X)
-    if X.intercept_present:
-        _block_svd(X, _intercept_quant_cols(X))
+    _block_svd(X, _ones_quant_cols(X))
     return linalg.scaled_svd(T, X.n)
 
 
@@ -368,12 +356,12 @@ def stewart_index(X: DesignMatrix) -> StewartReport:
     q_labels = X.quantitative_labels
     if len(q_labels) < 1:
         raise _Inapplicable(NEED_ONE_QUANTITATIVE)
-    cols = _intercept_quant_cols(X)
+    cols = (0, *X.quantitative_idx) if X.intercept_present else X.quantitative_idx
     k2 = linalg._inverse_diag(*_block_svd(X, cols))
 
     essential = nonessential = None
     if len(q_labels) >= 2 and X.intercept_present:
-        essential = 100.0 / (1.0 + _quant_stats(X)[1] ** -2.0)  # a zero-mean column: 100
+        essential = 100.0 / (1.0 + _quant_stats(X)[0] ** -2.0)  # a zero-mean column: 100
         nonessential = 100.0 - essential
     return StewartReport(labels=tuple(X.labels[i] for i in cols), k2=k2,
                          essential_pct=essential, nonessential_pct=nonessential)
@@ -410,7 +398,7 @@ def coefficients_of_variation(X: DesignMatrix) -> tuple[tuple[str, float | None]
     if not X.quantitative_idx:
         raise _Inapplicable(NEED_ONE_QUANTITATIVE)
     return tuple((label, None if c else float(v))
-                 for label, v, c in zip(X.quantitative_labels, *_quant_stats(X)[1:]))
+                 for label, v, c in zip(X.quantitative_labels, *_quant_stats(X)))
 
 
 def proportion_of_ones(col) -> float:

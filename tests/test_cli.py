@@ -221,8 +221,18 @@ class TestCsvErrors:
         assert err == f"error: {path}:3: non-numeric value 'oops' in column 'b'\n"
 
     def test_data_column_named_intercept(self, capsys, tmp_path):
-        _, err = self.error(capsys, tmp_path, "intercept,a,b\n1,2,3\n4,5,7\n7,8,8\n")
-        assert err == "error: duplicate column labels: ['intercept']\n"
+        path, err = self.error(capsys, tmp_path, "intercept,a,b\n1,2,3\n4,5,7\n7,8,8\n")
+        assert err == f"error: {path}: duplicate column labels: ['intercept']\n"
+
+    @pytest.mark.parametrize("text, flags, rule", [
+        ("y,a,b\n1,2,3\n4,2,7\n7,2,8\n", ("--no-intercept",),
+         "quantitative column 'a' has zero variance"),
+        ("y,a,d\n1,2,0\n4,5,2\n7,8,1\n", ("--dummy", "d"),
+         "dummy column 'd' contains values other than 0 and 1"),
+    ])
+    def test_design_rule_names_the_file(self, capsys, tmp_path, text, flags, rule):
+        path, err = self.error(capsys, tmp_path, text, "--response", "y", *flags)
+        assert err == f"error: {path}: {rule}\n"
 
     def test_non_finite_cell(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")

@@ -86,8 +86,10 @@ class TestLoadCsv:
     def test_dummy_with_other_values_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,d\n1,0\n2,2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="0 and 1"):
-            load_csv(path, {"a": "quantitative", "d": "dummy"})
+        ds = load_csv(path, {"a": "quantitative", "d": "dummy"})
+        with pytest.raises(ValueError) as exc:
+            design_matrix(ds)
+        assert str(exc.value) == f"{path}: dummy column 'd' contains values other than 0 and 1"
 
 
 AB = {"a": "quantitative", "b": "quantitative"}
@@ -233,12 +235,23 @@ class TestCsvGrammar:
     @pytest.mark.parametrize("text, roles, rule", [
         ("a,b\n1,2\n", AB, "at least 2 observations are required"),
         ("a,a\n1,2\n3,4\n", {"a": "quantitative"}, "duplicate column labels: ['a']"),
-        ("a,d\n1,0\n2,2\n", {"a": "quantitative", "d": "dummy"},
-         "dummy column 'd' contains values other than 0 and 1"),
     ])
     def test_table_rule_names_the_file(self, tmp_path, text, roles, rule):
         path, msg = csv_error(tmp_path, text, roles)
         assert msg == f"{path}: {rule}"
+
+    @pytest.mark.parametrize("text, roles, rule", [
+        ("a,d\n1,0\n2,2\n", {"a": "quantitative", "d": "dummy"},
+         "dummy column 'd' contains values other than 0 and 1"),
+        ("a,b\n1,2\n3,2\n", AB, "quantitative column 'b' has zero variance"),
+    ])
+    def test_design_rule_names_the_file(self, tmp_path, text, roles, rule):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        ds = load_csv(path, roles)
+        with pytest.raises(ValueError) as exc:
+            design_matrix(ds)
+        assert str(exc.value) == f"{path}: {rule}"
 
     def test_roles_from_a_function_of_the_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -307,9 +320,10 @@ class TestDataset:
             Dataset("bad", ("y1", "y2"), ("response", "response"), [[1.0, 3.0], [2.0, 4.0]])
 
     def test_dummy_with_other_values_rejected(self):
+        ds = Dataset("bad", ("a", "d"), ("quantitative", "dummy"), [[1.0, 0.0], [2.0, 0.5]])
         with pytest.raises(ValueError,
-                           match="^dummy column 'd' contains values other than 0 and 1$"):
-            Dataset("bad", ("a", "d"), ("quantitative", "dummy"), [[1.0, 0.0], [2.0, 0.5]])
+                           match="^bad: dummy column 'd' contains values other than 0 and 1$"):
+            design_matrix(ds)
 
     def test_roles_given_as_strings_are_column_roles(self):
         ds = Dataset("t", ("y", "x", "d"), ("response", "quantitative", "dummy"),
@@ -351,12 +365,13 @@ class TestDesignMatrix:
     def test_zero_variance_quantitative_rejected(self):
         ds = Dataset("bad", ("y", "const"), ("response", "quantitative"),
                      [[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        with pytest.raises(ValueError, match="const"):
-            design_matrix(ds)
+        for intercept in (True, False):
+            with pytest.raises(ValueError, match="^bad: quantitative column 'const' has zero"):
+                design_matrix(ds, intercept)
 
     def test_response_only_rejected(self):
         ds = Dataset("bad", ("y",), ("response",), [[1.0], [2.0]])
-        with pytest.raises(ValueError, match="no regressor"):
+        with pytest.raises(ValueError, match="^bad: dataset has no regressor columns$"):
             design_matrix(ds)
 
     def test_no_intercept_flag(self, theil_dataset):

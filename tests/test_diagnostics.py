@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from collindiag import (
     DEFAULT_THRESHOLDS,
+    Dataset,
     DesignMatrix,
     DiagnosticsReport,
     SingularMatrixError,
@@ -24,7 +25,7 @@ from collindiag import (
     stewart_index,
     vif,
 )
-from collindiag import diagnostics
+from collindiag import diagnostics, linalg
 from collindiag.diagnostics import (
     NEED_INTERCEPT,
     NEED_ONE_DUMMY,
@@ -135,21 +136,21 @@ class TestCorrelationMatrix:
             if intercept:
                 cols.insert(0, np.ones(6))
             start = int(intercept)
-            design = DesignMatrix(X=np.column_stack(cols), intercept_present=intercept,
-                                  quantitative_idx=tuple(range(start, start + 3)), dummy_idx=(),
-                                  labels=("intercept",) * start + ("t", "const", "t2"))
-            for measure in (correlation_matrix, vif):
-                with pytest.raises(ValueError, match="'const' has zero variance"):
-                    measure(design)
+            with pytest.raises(ValueError, match="^quantitative column 'const' has zero variance$"):
+                DesignMatrix(X=np.column_stack(cols), intercept_present=intercept,
+                             quantitative_idx=tuple(range(start, start + 3)), dummy_idx=(),
+                             labels=("intercept",) * start + ("t", "const", "t2"))
 
-    def test_constant_regressor_without_intercept_accepted(self):
-        # a constant column is an ordinary regressor when there is no intercept
+    def test_constant_regressor_without_intercept_rejected(self):
+        # centered, a constant column is zero: no measure has a correlation for it
         d = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        design = DesignMatrix(X=np.column_stack([np.full(6, 2.0), d]), intercept_present=False,
-                              quantitative_idx=(0,), dummy_idx=(1,), labels=("const", "d"))
-        s = np.linalg.svd(design.X / np.linalg.norm(design.X, axis=0), compute_uv=False)
-        assert condition_number(design) == pytest.approx(s[0] / s[-1], rel=1e-12)
-        assert_allclose(stewart_index(design).k2, [1.0], rtol=1e-12)
+        with pytest.raises(ValueError, match="^quantitative column 'const' has zero variance$"):
+            DesignMatrix(X=np.column_stack([np.full(6, 2.0), d]), intercept_present=False,
+                         quantitative_idx=(0,), dummy_idx=(1,), labels=("const", "d"))
+        ds = Dataset("t", ("const", "d"), ("quantitative", "dummy"),
+                     np.column_stack([np.full(6, 2.0), d]))
+        with pytest.raises(ValueError, match="^t: quantitative column 'const' has zero variance$"):
+            design_matrix(ds, intercept=False)
 
     def test_diagonal_is_one_and_entries_bounded(self, kg_design):
         rep = correlation_matrix(kg_design)
@@ -511,12 +512,37 @@ class TestSharedFactors:
         multicol(X)
         assert calls == []
 
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_one_n_row_factorization_with_or_without_an_intercept(self, monkeypatch, kg_dataset,
+                                                                  intercept):
+        # without an intercept, factors appends the ones column: no second pass to center
+        X = design_matrix(kg_dataset, intercept)
+        shapes = []
+
+        def counted(A, _fn=linalg._r_factor):
+            shapes.append(np.shape(A))
+            return _fn(A)
+
+        monkeypatch.setattr(linalg, "_r_factor", counted)
+        multicol(X)
+        assert shapes == [(X.n, len(X.quantitative_idx) + 1)]
+
+    @pytest.mark.parametrize("name", ["kg", "theil"])
+    def test_centered_measures_do_not_depend_on_the_intercept(self, request, name):
+        ds = request.getfixturevalue(f"{name}_dataset")
+        with_ones, without = design_matrix(ds), design_matrix(ds, intercept=False)
+        assert_allclose([v for _, v in vif(without)], [v for _, v in vif(with_ones)],
+                        rtol=1e-12, atol=0)
+        got, want = correlation_matrix(without), correlation_matrix(with_ones)
+        assert_allclose(got.r, want.r, rtol=1e-12, atol=0)
+        assert got.det_r == pytest.approx(want.det_r, rel=1e-12, abs=0)
+
     def test_cached_arrays_are_read_only(self, theil_dataset):
         X = design_matrix(theil_dataset)
         multicol(X)
         kept = [X.factors] + [a for value in X._shared.values()
                               for a in (value if isinstance(value, tuple) else (value,))]
-        assert len(kept) == 13  # R, three (s, Vt) pairs, T and its (s, Vt), the column stats
+        assert len(kept) == 12  # R, three (s, Vt) pairs, T and its (s, Vt), the column stats
         assert not any(a.flags.writeable for a in kept)
         with pytest.raises(ValueError, match="read-only"):
             X.factors[0, 0] = 0.0

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -173,6 +173,7 @@ class TestStewartIdentity:
     @given(columns=st.lists(st.lists(st.floats(min_value=-100, max_value=100), min_size=6,
                                      max_size=6), min_size=2, max_size=3))
     def test_no_split_without_an_intercept(self, columns):
+        assume(all(np.ptp(column) > 0.0 for column in columns))  # the design gate rejects the rest
         X = DesignMatrix(X=np.array(columns).T, intercept_present=False,
                          quantitative_idx=tuple(range(len(columns))), dummy_idx=(),
                          labels=tuple(f"q{i}" for i in range(len(columns))))
