@@ -69,19 +69,29 @@ def _check_finite(A: np.ndarray) -> None:
 
 
 def _norms(A: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of A, bit-equal to np.linalg.norm
-    of each row within [1e-150, 1e150].  A row outside, whose sum of squares
-    would overflow or underflow, is divided by its largest magnitude first."""
+    """Euclidean norms along the last axis of A, summed by numpy, not BLAS, so
+    a norm depends neither on the BLAS thread count nor on the rows beside it.
+    A row outside [1e-150, 1e150], whose sum of squares would overflow or
+    underflow, is divided by its largest magnitude first."""
     rows = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
     with np.errstate(over="ignore"):
-        norms = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+        norms = np.sqrt(_sum_squares(rows))
         out = ~((norms >= 1e-150) & (norms <= 1e150))
         if out.any():
             peak = np.abs(rows[out]).max(axis=-1, initial=0.0)
             peak[~((peak > 0.0) & (peak < np.inf))] = 1.0  # zero, inf and nan rows stay so
-            B = rows[out] / peak[:, None]
-            norms[out] = peak * np.sqrt((B[:, None, :] @ B[:, :, None])[:, 0, 0])
+            norms[out] = peak * np.sqrt(_sum_squares(rows[out] / peak[:, None]))
     return norms.reshape(A.shape[:-1])
+
+
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Sums of squares along the last axis of the C-ordered rows, by np.einsum.  One
+    einsum over many rows splits a row longer than numpy's buffer where the buffer
+    ends, so its sum would depend on the rows before it: such a row is summed alone."""
+    if rows.shape[-1] <= np.getbufsize():
+        return np.einsum("...i,...i->...", rows, rows)
+    flat = rows.reshape(-1, rows.shape[-1])
+    return np.array([np.einsum("i,i->", row, row) for row in flat]).reshape(rows.shape[:-1])
 
 
 def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:

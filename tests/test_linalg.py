@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +76,17 @@ class TestUnitLengthScale:
         M = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="column 1"):
             unit_length_scale(M)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("length", [21, 10_000])
+    def test_each_row_is_one_fixed_order_sum(self, length):
+        # one einsum over many rows splits a row longer than numpy's buffer (8192
+        # values by default) where the buffer ends, so those rows are summed alone
+        A = np.random.default_rng(5).normal(size=(2, 3, length))
+        alone = np.array([[math.sqrt(np.einsum("i,i->", r, r)) for r in rows] for rows in A])
+        assert _norms(A).tobytes() == alone.tobytes()
+        assert _norms(A[1, 1:]).tobytes() == alone[1, 1:].tobytes()
 
 
 def _char_poly_roots_by_bisection(S, lo, hi, m=2000):

@@ -123,11 +123,13 @@ class TestOlsFit:
     @pytest.mark.parametrize("name,p,f_p", [
         ("kg", ["0x1.59febee504686p-6", "0x1.0115c1ff0c058p-2", "0x1.3c6610ae3ad5ap-4",
                 "0x1.6c30ab4f446d6p-1"], "0x1.3718a0e4b9bb5p-17"),
-        ("theil", ["0x1.624ae0a4d16bap-11", "0x1.474a83223e1f2p-9", "0x1.3e85a970a1ff4p-15",
+        ("theil", ["0x1.624ae0a4d16cbp-11", "0x1.474a83223e1f2p-9", "0x1.3e85a970a2007p-15",
                    "0x1.07a71674796c6p-1"], "0x1.e44d273ebbd69p-28"),
     ])
     def test_fixture_p_values_to_the_bit(self, request, name, p, f_p):
-        # pinned from the unrolled continued fraction, before its Lentz step became a loop
+        # pinned from the unrolled continued fraction, before its Lentz step became a loop;
+        # theil's p again once the norms summed without BLAS, each within 2.5e-14 of a
+        # 50-digit mpmath fit
         y, X = (request.getfixturevalue(f"{name}_{part}") for part in ("y", "design"))
         fit = ols_fit(y, X)
         assert [float(v).hex() for v in fit.p] == p

@@ -267,10 +267,18 @@ class StubRng:
         return out
 
 
+def fixed_order_norm(v) -> float:
+    """||v|| from one sum of squares over v's entries in C order, taken by
+    np.einsum in the order numpy fixes, as linalg._norms takes it for a row."""
+    v = np.ravel(v)
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def loop_replay(X, cfg):
     """The perturbed designs and achieved_pct of the per-draw loop: one
     rng.normal call per selected column per draw, each column replaced by
-    x + tol * r * (||x|| / ||r||), achieved from the selected block."""
+    x + tol * r * (||x|| / ||r||), achieved from the selected block, its
+    entries summed column by column."""
     rng = np.random.default_rng(cfg.seed)
     sel = list(X.quantitative_idx)
     designs, achieved = [], []
@@ -278,10 +286,11 @@ def loop_replay(X, cfg):
         Xp = X.X.copy()
         for j in sel:
             r = rng.normal(cfg.noise_mean, cfg.noise_sd, X.n)
-            Xp[:, j] = X.X[:, j] + cfg.tol * r * (np.linalg.norm(X.X[:, j]) / np.linalg.norm(r))
+            Xp[:, j] = X.X[:, j] + cfg.tol * r * (fixed_order_norm(X.X[:, j])
+                                                  / fixed_order_norm(r))
         designs.append(Xp)
-        achieved.append(100.0 * float(np.linalg.norm(Xp[:, sel] - X.X[:, sel]))
-                        / float(np.linalg.norm(X.X[:, sel])))
+        achieved.append(100.0 * fixed_order_norm((Xp[:, sel] - X.X[:, sel]).T)
+                        / fixed_order_norm(X.X[:, sel].T))
     return designs, np.array(achieved)
 
 
