@@ -10,7 +10,7 @@ import pytest
 
 from collindiag import cli, cns, design_matrix, fixture, ols_fit, response_vector, vif
 from collindiag.cli import THRESHOLDS_ENV, main
-from collindiag.diagnostics import NEED_ONE_QUANTITATIVE
+from collindiag.diagnostics import NEED_ONE_QUANTITATIVE, NEED_TWO_QUANTITATIVE
 from collindiag.perturb import PerturbConfig
 
 
@@ -268,6 +268,15 @@ class TestReports:
         assert "53.39671" in out
         assert "PROBLEMATIC: CN=53.39671 > 30" in out
 
+    def test_cn_moderate_verdict(self, capsys):
+        # theil without its intercept lies between the moderate and severe cutoffs
+        code, out, _ = run(capsys, "cn", "--fixture", "theil", "--no-intercept")
+        assert (code, out.splitlines()[-1]) == (0, "MODERATE: CN=24.15423 in [20, 30]")
+        code, payload, _ = run_json(capsys, "cn", "--fixture", "theil", "--no-intercept",
+                                    "--fail-on-problematic")
+        assert (code, payload["problematic"], payload["result"]["severity"]) == (
+            0, False, "moderate")
+
     def test_ki_text_labels(self, capsys):
         code, out, _ = run(capsys, "ki", "--fixture", "theil")
         assert "Stewart index" in out
@@ -324,6 +333,22 @@ class TestReports:
                         "Increase (in percentage)",
                         "Stewart index"):
             assert section in out
+
+    def test_multicol_with_one_quantitative_regressor_has_no_vif_section(self, capsys,
+                                                                          tmp_path):
+        # a dummy beside the one quantitative regressor: not a simple linear model, but
+        # the correlation section's note stands for the VIFs, which get no section
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,d\n1,2,0\n3,5,1\n4,3,1\n6,7,0\n", encoding="utf-8")
+        flags = ("multicol", "--data", str(path), "--response", "y", "--dummy", "d")
+        code, out, _ = run(capsys, *flags)
+        assert code == 0
+        assert f"\n\nCorrelation matrix\n  {NEED_TWO_QUANTITATIVE}\n\nCondition Number" in out
+        assert "Variance Inflation" not in out
+        code, payload, _ = run_json(capsys, *flags)
+        result = payload["result"]
+        assert code == 0 and result["correlation"] is None and result["vif"] is None
+        assert result["notes"]["vif"] == result["notes"]["correlation"] == NEED_TWO_QUANTITATIVE
 
     def test_multicol_kg_guidance_message(self, capsys):
         code, out, _ = run(capsys, "multicol", "--fixture", "kg")

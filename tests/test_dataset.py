@@ -403,6 +403,13 @@ class TestDesignMatrix:
                          intercept_present=True, quantitative_idx=(1, 2), dummy_idx=(),
                          labels=("intercept", "x", "x"))
 
+    def test_dummy_outside_zero_one_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^dummy column 'd' contains values other than 0 and 1$"):
+            DesignMatrix(X=np.column_stack([np.ones(3), np.arange(3.0), [0.5, 2.0, 0.5]]),
+                         intercept_present=True, quantitative_idx=(1,), dummy_idx=(2,),
+                         labels=("intercept", "x", "d"))
+
     def test_role_partition_enforced(self):
         with pytest.raises(ValueError, match="partition"):
             DesignMatrix(

@@ -211,6 +211,8 @@ class TestConditionNumber:
         design = DesignMatrix(X=np.ones((5, 1)), intercept_present=True,
                               quantitative_idx=(), dummy_idx=(), labels=("intercept",))
         assert condition_number(design) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="^no columns left for the condition number$"):
+            condition_number(design, include_intercept=False)
 
     def test_exact_collinearity_raises(self):
         x = np.arange(1.0, 7.0)

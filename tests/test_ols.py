@@ -266,6 +266,10 @@ class TestOlsFit:
             want = [float(mpmath.sqrt(var * G_inv[i, i])) for i in range(k)]
         assert_allclose(fit.se, want, rtol=k * np.finfo(float).eps * scaled_cn, atol=0)
 
+    def test_constant_response_rejected(self, kg_design):
+        with pytest.raises(ValueError, match="^response is constant; nothing to fit$"):
+            ols_fit(np.full(kg_design.n, 3.0), kg_design)
+
     def test_singular_design_rejected(self):
         x = np.arange(1.0, 9.0)
         X = DesignMatrix(X=np.column_stack([np.ones(8), x, 3 * x]),

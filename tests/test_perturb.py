@@ -206,6 +206,12 @@ class TestPerturbN:
         assert a.change_pct.tobytes() == b.change_pct.tobytes()
         assert a.change_summary == b.change_summary
 
+    def test_design_without_quantitative_regressors_rejected(self, theil_twenties_design,
+                                                               theil_y):
+        with pytest.raises(ValueError,
+                           match="^design matrix has no quantitative regressors to perturb$"):
+            perturb_n(theil_y, theil_twenties_design, PerturbConfig(iterations=5, seed=1))
+
     def test_different_seeds_differ(self, theil_design, theil_y):
         a = perturb_n(theil_y, theil_design, PerturbConfig(iterations=10, seed=1))
         b = perturb_n(theil_y, theil_design, PerturbConfig(iterations=10, seed=2))
