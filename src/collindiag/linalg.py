@@ -80,18 +80,24 @@ def _norms(A: np.ndarray) -> np.ndarray:
         if out.any():
             peak = np.abs(rows[out]).max(axis=-1, initial=0.0)
             peak[~((peak > 0.0) & (peak < np.inf))] = 1.0  # zero, inf and nan rows stay so
-            norms[out] = peak * np.sqrt(_sum_squares(rows[out] / peak[:, None]))
+            B = rows[out] / peak[:, None]
+            norms[out] = peak * np.sqrt(_sum_squares(B))
     return norms.reshape(A.shape[:-1])
 
 
 def _sum_squares(rows: np.ndarray) -> np.ndarray:
-    """Sums of squares along the last axis of the C-ordered rows, by np.einsum.  One
-    einsum over many rows splits a row longer than numpy's buffer where the buffer
-    ends, so its sum would depend on the rows before it: such a row is summed alone."""
-    if rows.shape[-1] <= np.getbufsize():
+    """Sums of squares along the last axis of the C-ordered rows, by np.einsum.
+    An einsum over many rows cuts a row longer than its buffer where the
+    buffer ends, so the row's sum would depend on the rows before it: a long
+    row is summed in whole buffers, then its rest."""
+    size = 8192  # einsum's buffer, numpy's NPY_BUFSIZE, whatever np.setbufsize says
+    m = rows.shape[-1] // size
+    if not m:
         return np.einsum("...i,...i->...", rows, rows)
-    flat = rows.reshape(-1, rows.shape[-1])
-    return np.array([np.einsum("i,i->", row, row) for row in flat]).reshape(rows.shape[:-1])
+    pieces = rows[..., :m * size].reshape(*rows.shape[:-1], m, size)
+    rest = rows[..., m * size:]
+    return (np.einsum("...ji,...ji->...j", pieces, pieces).sum(axis=-1)
+            + np.einsum("...i,...i->...", rest, rest))
 
 
 def _past_cut(s: np.ndarray, n: int, k: int) -> np.ndarray:

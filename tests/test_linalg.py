@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,14 +77,15 @@ class TestUnitLengthScale:
 
 
 class TestNorms:
-    @pytest.mark.parametrize("length", [21, 10_000])
-    def test_each_row_is_one_fixed_order_sum(self, length):
-        # one einsum over many rows splits a row longer than numpy's buffer (8192
-        # values by default) where the buffer ends, so those rows are summed alone
+    @pytest.mark.parametrize("length", [21, 10_000, 20_000])
+    def test_a_norm_does_not_depend_on_the_rows_beside_it(self, length):
+        # one einsum over many rows splits a row longer than its 8192-value buffer
+        # where the buffer ends, so long rows are summed in whole buffers first
         A = np.random.default_rng(5).normal(size=(2, 3, length))
-        alone = np.array([[math.sqrt(np.einsum("i,i->", r, r)) for r in rows] for rows in A])
+        alone = np.array([[_norms(row) for row in rows] for rows in A])
         assert _norms(A).tobytes() == alone.tobytes()
         assert _norms(A[1, 1:]).tobytes() == alone[1, 1:].tobytes()
+        assert_allclose(alone, np.linalg.norm(A, axis=-1), rtol=1e-14, atol=0)
 
 
 def _char_poly_roots_by_bisection(S, lo, hi, m=2000):
