@@ -128,7 +128,7 @@ class TestOlsFit:
     ])
     def test_fixture_p_values_to_the_bit(self, request, name, p, f_p):
         # pinned from the unrolled continued fraction, before its Lentz step became a loop;
-        # theil's p again once the norms summed without BLAS, each within 2.5e-14 of a
+        # theil's p re-pinned when the norms stopped using BLAS, each within 2.5e-14 of a
         # 50-digit mpmath fit
         y, X = (request.getfixturevalue(f"{name}_{part}") for part in ("y", "design"))
         fit = ols_fit(y, X)
