@@ -72,6 +72,7 @@ class Dataset:
         for label, column in zip(labels, values.T):
             if not np.isfinite(column).all():
                 raise ValueError(f"column {label!r} contains missing or non-finite values")
+            linalg._check_sums(max(column.max(), -column.min()), self.n, label)
 
     @property
     def n(self) -> int:
@@ -89,7 +90,8 @@ class DesignMatrix:
     finite 2-d matrix, the labels are unique and one per column, the roles
     partition the columns, a dummy column holds only 0 and 1, and no
     quantitative column is constant (its correlation with any column is
-    undefined, with or without an intercept).  Errors name the column.
+    undefined, with or without an intercept) or too large to sum
+    (linalg._check_sums).  Errors name the column.
     """
 
     X: np.ndarray
@@ -127,8 +129,10 @@ class DesignMatrix:
             if not np.isin(X[:, i], (0.0, 1.0)).all():
                 raise ValueError(f"dummy column {self.labels[i]!r} contains values other than 0 and 1")
         for i in self.quantitative_idx:
-            if np.ptp(X[:, i]) == 0.0:
+            lo, hi = X[:, i].min(), X[:, i].max()
+            if lo == hi:
                 raise ValueError(f"quantitative column {self.labels[i]!r} has zero variance")
+            linalg._check_sums(max(hi, -lo), n, self.labels[i])
 
     @property
     def n(self) -> int:

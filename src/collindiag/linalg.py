@@ -68,6 +68,12 @@ def _check_finite(A: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
 
 
+def _check_sums(peak: float, n: int, label) -> None:
+    """Reject a finite column of n values, peak its largest magnitude, that a sum could overflow."""
+    if peak <= np.finfo(float).max < n * float(peak):
+        raise ValueError(f"column {label!r} is too large to sum: {n} values up to {peak:.7g}")
+
+
 def _norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of A, summed by numpy, not BLAS, so
     a norm depends neither on the BLAS thread count nor on the rows beside it.
@@ -187,12 +193,14 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares of y on the n x k matrix X from one QR of [X | y]: the
     coefficients, R, whose leading k x k block is X's R and whose
     |R[k, k]| is the residual norm (n > k), and that block's inverse.  X
-    and y must be finite; a design failing the singular cut raises
-    SingularMatrixError, naming a zero column if it has one."""
+    and y must be finite, and n * max|y| at most the largest double; a
+    design failing the singular cut raises SingularMatrixError, naming a
+    zero column if it has one."""
     A = _as_matrix(X)
     n, k = A.shape
     if np.shape(y) != (n,):
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
+    _check_sums(np.abs(y).max(initial=0.0), n, "response")
     beta, singular, R, Rk_inv = _qr_fit(np.column_stack([A, y])[None], k)
     if singular[0]:
         scaled_svd(R[0, :k, :k], n)  # words the error: a zero column, or the cut

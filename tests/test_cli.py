@@ -234,6 +234,20 @@ class TestCsvErrors:
         path, err = self.error(capsys, tmp_path, text, "--response", "y", *flags)
         assert err == f"error: {path}: {rule}\n"
 
+    @pytest.mark.parametrize("large", ["a", "y"])
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_column_too_large_to_sum_names_the_file(self, capsys, tmp_path, command, large):
+        rng = np.random.default_rng(4)
+        columns = {"y": rng.normal(size=20), "a": rng.normal(size=20), "b": rng.normal(size=20)}
+        columns[large] = rng.uniform(0.75e308, 1.5e308, 20)
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",",
+                   header="y,a,b", comments="")
+        code, out, err = run(capsys, command, "--data", str(path), "--response", "y")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: column {large!r} is too large to sum: "
+                       f"20 values up to {columns[large].max():.7g}\n")
+
     def test_non_finite_cell(self, capsys, tmp_path):
         path, err = self.error(capsys, tmp_path, "y,a,b\n1,2,3\n4,nan,6\n", "--response", "y")
         assert err == f"error: {path}:3: non-finite value 'nan' in column 'a'\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -6,8 +8,13 @@ from collindiag import (
     ColumnRole,
     Dataset,
     DesignMatrix,
+    PerturbConfig,
     design_matrix,
+    least_squares,
     load_csv,
+    multicol,
+    ols_fit,
+    perturb_n,
     response_vector,
 )
 from collindiag.dataset import roles_from_flags
@@ -145,6 +152,10 @@ class TestCsvGrammar:
     def test_padded_cells(self, tmp_path):
         assert csv_values(tmp_path, " a , b \n 1 ,\t2\n3,4 \n") == {
             "a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_bad_cell_right_of_a_skipped_column(self, tmp_path):
+        path, msg = csv_error(tmp_path, "a,note,b\n1,x,2\n3,y,oops\n")
+        assert msg == f"{path}:3: non-numeric value 'oops' in column 'b'"
 
     def test_quoted_comma_in_skipped_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -414,6 +425,17 @@ class TestDesignMatrix:
                 labels=("intercept", "x"),
             )
 
+    @pytest.mark.parametrize("X, labels, message", [
+        (np.ones(3), ("intercept",), "X must be a 2-d matrix"),
+        (np.column_stack([np.ones(3), [0.0, np.nan, 2.0]]), ("intercept", "x"),
+         "design matrix contains missing or non-finite values"),
+        (np.column_stack([np.ones(3), np.arange(3.0)]), ("intercept",), "1 labels for 2 columns"),
+    ], ids=["1-d", "non-finite", "label-count"])
+    def test_malformed_matrix_rejected(self, X, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DesignMatrix(X=X, intercept_present=True, quantitative_idx=(1,), dummy_idx=(),
+                         labels=labels)
+
     def test_intercept_column_must_be_ones(self):
         with pytest.raises(ValueError, match="ones"):
             DesignMatrix(
@@ -445,3 +467,56 @@ class TestResponseVector:
         assert_array_equal(y, theil_dataset.values[:, 0])
         with pytest.raises(ValueError, match="read-only"):
             y[0] = 0.0
+
+
+def large_column_table(n: int, peak: float, large: str) -> Dataset:
+    """Response y and regressors a and b over n rows: column large spans
+    [peak / 2, peak], its largest magnitude |peak|; the others are normal."""
+    rng = np.random.default_rng(n)
+    columns = {"y": rng.normal(size=n), "a": rng.normal(size=n), "b": rng.normal(size=n)}
+    columns[large] = peak * np.append(1.0, rng.uniform(0.5, 1.0, n - 1))
+    return Dataset("t", ("y", "a", "b"), ("response", "quantitative", "quantitative"),
+                   np.column_stack(list(columns.values())))
+
+
+class TestColumnSums:
+    """Every column x of n rows has n * max|x| <= the largest double, so each
+    sum, mean and norm the measures take of it is finite; past that, the
+    column is named.  A RuntimeWarning fails these tests (pyproject.toml)."""
+
+    BIGGEST = float(np.finfo(float).max)
+
+    @pytest.mark.parametrize("large", ["a", "y"])
+    @pytest.mark.parametrize("n", [20, 2000])
+    def test_inside_the_bound_every_measure_is_finite(self, n, large):
+        d = large_column_table(n, 0.999 * (self.BIGGEST / n), large)
+        X, y = design_matrix(d), response_vector(d)
+        report = multicol(X)
+        numbers = [v for _, v in report.cv + report.vifs] + [
+            report.correlation.det_r, report.cn.cn_with, report.cn.cn_without,
+            *report.stewart.k2, *report.stewart.essential_pct]
+        fit = ols_fit(y, X)
+        numbers += [*fit.beta, *fit.se, *fit.p, fit.sigma, fit.r2, fit.f_stat, fit.f_p]
+        result = perturb_n(y, X, PerturbConfig(iterations=5, seed=1))
+        numbers += [*result.achieved_pct, *result.change_pct]
+        assert np.isfinite(numbers).all()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [20, 2000])
+    def test_past_the_bound_the_column_is_named(self, n, sign):
+        peak = sign * 1.001 * (self.BIGGEST / n)
+        message = ("^column '{}' is too large to sum: "
+                   + re.escape(f"{n} values up to {abs(peak):.7g}") + "$")
+        for large in ("a", "y"):
+            with pytest.raises(ValueError, match=message.format(large)):
+                large_column_table(n, peak, large)
+        X = design_matrix(large_column_table(n, 1.0, "y"))
+        big = X.X.copy()
+        big[:, 1] = peak * np.append(1.0, np.linspace(0.5, 1.0, n - 1))
+        with pytest.raises(ValueError, match=message.format("a")):
+            DesignMatrix(X=big, intercept_present=True, quantitative_idx=(1, 2), dummy_idx=(),
+                         labels=X.labels)
+        for fit in (lambda y: least_squares(X.X, y), lambda y: ols_fit(y, X),
+                    lambda y: perturb_n(y, X, PerturbConfig(iterations=5, seed=1))):
+            with pytest.raises(ValueError, match=message.format("response")):
+                fit(big[:, 1])

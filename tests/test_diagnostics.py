@@ -87,6 +87,13 @@ class TestThresholds:
             Thresholds.from_file(path)
         assert str(exc.value) == f"{path}:4: threshold 'vif_limit' already set on line 1"
 
+    def test_line_without_equals_sign_rejected(self, tmp_path):
+        path = tmp_path / "thresholds.cfg"
+        path.write_text("vif_limit = 5\ncn_severe 40\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            Thresholds.from_file(path)
+        assert str(exc.value) == f"{path}:2: expected key=value"
+
 
 class TestCorrelationMatrix:
     def test_theil(self, theil_design):
@@ -360,6 +367,10 @@ class TestCoefficientOfVariation:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             coefficient_of_variation([1.0, bad])
 
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError, match="^expected a nonempty vector$"):
+            coefficient_of_variation([])
+
     def test_per_regressor_entries_with_none_for_centered(self, theil_design):
         assert coefficients_of_variation(theil_design) == (
             ("income", coefficient_of_variation(theil_design.X[:, 1])),
@@ -381,6 +392,10 @@ class TestProportionOfOnes:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0 and 1"):
             proportion_of_ones([0.0, 1.0, 2.0])
+
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError, match="^expected a nonempty vector$"):
+            proportion_of_ones([])
 
 
 class TestSlm:

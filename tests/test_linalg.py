@@ -75,6 +75,10 @@ class TestUnitLengthScale:
         with pytest.raises(ValueError, match="column 1"):
             unit_length_scale(M)
 
+    def test_three_d_array_rejected(self):
+        with pytest.raises(ValueError, match="^expected a 2-d matrix, got ndim=3$"):
+            unit_length_scale(np.ones((2, 2, 2)))
+
 
 class TestNorms:
     @pytest.mark.parametrize("length", [21, 10_000, 20_000])

@@ -73,6 +73,9 @@ class TestTCdf:
         with pytest.raises(ValueError):
             t_cdf(1.0, 0)
 
+    def test_nan_argument_is_nan(self):
+        assert math.isnan(t_cdf(math.nan, 5))
+
     @pytest.mark.parametrize("x", [1.0, math.nan])
     @pytest.mark.parametrize("df", [math.inf, math.nan])
     def test_non_finite_df(self, x, df):
@@ -97,6 +100,9 @@ class TestFCdf:
     def test_invalid_df(self):
         with pytest.raises(ValueError):
             f_cdf(1.0, 0, 3)
+
+    def test_nan_argument_is_nan(self):
+        assert math.isnan(f_cdf(math.nan, 3, 10))
 
     @pytest.mark.parametrize("x", [1.0, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("d1,d2", [(math.inf, 3), (1, math.inf), (math.nan, 3), (1, math.nan)])
