@@ -83,9 +83,11 @@ class Dataset:
 class DesignMatrix:
     """An n x k regression design matrix that knows its column roles.
 
-    When intercept_present, column 0 is exactly the all-ones vector.
-    quantitative_idx and dummy_idx are 0-based column indices into X and,
-    together with the intercept, partition all columns.  Construction is
+    X is a read-only copy kept column-major (Fortran order), so each
+    column is one contiguous run, as LAPACK and the per-column measures
+    read it.  When intercept_present, column 0 is exactly the all-ones
+    vector.  quantitative_idx and dummy_idx are 0-based column indices
+    into X and, together with the intercept, partition all columns.  Construction is
     the one gate of every design, built from a table or by hand: X is a
     finite 2-d matrix, the labels are unique and one per column, the roles
     partition the columns, a dummy column holds only 0 and 1, and no
@@ -106,7 +108,7 @@ class DesignMatrix:
             raise ValueError("X must be a 2-d matrix")
         if not np.all(np.isfinite(X)):
             raise ValueError("design matrix contains missing or non-finite values")
-        X = X.copy()
+        X = np.array(X, order="F")
         X.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "quantitative_idx", tuple(int(i) for i in self.quantitative_idx))
@@ -155,14 +157,18 @@ class DesignMatrix:
     @cached_property
     def factors(self) -> np.ndarray:
         """R of A = QR, computed once per design: A is X, or [X | 1], the
-        ones column appended last, when X has no intercept.
+        ones column appended last, when X has no intercept; either way
+        column-major, as X is.
 
         A[:, cols] = Q R[:, cols] with Q orthonormal, so every column
         block of R has the singular values, column norms and cross
         products of the same block of A.  Caching is safe because X is
         a read-only copy; so is R.
         """
-        A = self.X if self.intercept_present else np.column_stack([self.X, np.ones(self.n)])
+        A = self.X
+        if not self.intercept_present:
+            A = np.empty((self.n, self.k + 1), order="F")
+            A[:, :-1], A[:, -1] = self.X, 1.0
         R = linalg._r_factor(A)
         R.flags.writeable = False
         return R

@@ -225,8 +225,9 @@ def _ones_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
 @_once
 def _quant_stats(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient of variation and centered flag (see _cvs) of each
-    quantitative column, in one pass over them: the columns are gathered
-    as contiguous rows, so means sum as a column's would, ~1 MiB a block."""
+    quantitative column, in one pass over them: each column of the
+    column-major X is one contiguous run, copied whole into a row of a
+    block of ~1 MiB, so means sum as a column's would."""
     quant = list(X.quantitative_idx)
     step = max(1, (1 << 20) // (8 * X.n))
     blocks = (X.X.T[quant[i:i + step]] for i in range(0, len(quant), step))
@@ -375,6 +376,7 @@ def coefficient_of_variation(col) -> float:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a nonempty vector")
     linalg._check_finite(x)
+    linalg._check_sums(np.abs(x).max(), x.size, "col")
     (cv,), (centered,) = _cvs(x[None].copy())
     if centered:
         raise ValueError(CENTERED_CV_MESSAGE)

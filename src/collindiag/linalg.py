@@ -201,7 +201,9 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.shape(y) != (n,):
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
     _check_sums(np.abs(y).max(initial=0.0), n, "response")
-    beta, singular, R, Rk_inv = _qr_fit(np.column_stack([A, y])[None], k)
+    Xy = np.empty((n, k + 1), order="F")  # column-major, as LAPACK reads it
+    Xy[:, :k], Xy[:, k] = A, y
+    beta, singular, R, Rk_inv = _qr_fit(Xy[None], k)
     if singular[0]:
         scaled_svd(R[0, :k, :k], n)  # words the error: a zero column, or the cut
         raise SingularMatrixError(SINGULAR_MESSAGE)  # a zero pivot the SVD does not confirm
@@ -210,6 +212,10 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def least_squares(X, y) -> np.ndarray:
     """Least squares coefficients minimizing ||y - X b||, from one QR of
-    [X | y]; X and y must be finite, and a design failing the singular
-    cut raises SingularMatrixError."""
-    return _fit(X, y)[0]
+    [X | y]; X and y must be finite, n * max|x| at most the largest double
+    for each column x of X (an error names the column by position), and a
+    design failing the singular cut raises SingularMatrixError."""
+    A = _as_matrix(X)
+    for j, peak in enumerate(np.abs(A).max(axis=0, initial=0.0)):
+        _check_sums(peak, len(A), j)
+    return _fit(A, y)[0]

@@ -209,7 +209,7 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
         # Weyl's floor on every draw's smallest scaled singular value (linalg docstring)
         B_inv = (Rk_inv * linalg._norms(R[:k, :k].T)[:, None]).reshape(-1)
         floor = 1.0 / linalg._norms(B_inv) - math.sqrt(2 * s) * cfg.tol if cfg.tol < 1 else 0.0
-        x = X.X[:, sel].T  # C-ordered: each row is one selected column
+        x = X.X[:, sel].T  # X.X is column-major, so each row is one selected column
         x_norms = linalg._norms(x)  # none is zero: _fit has named a zero column
         base_norm = float(linalg._norms(x.reshape(-1)))
         beta_norm = float(linalg._norms(beta))

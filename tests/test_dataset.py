@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -445,6 +446,76 @@ class TestDesignMatrix:
                 dummy_idx=(),
                 labels=("intercept", "x"),
             )
+
+
+def bits(result):
+    """Every number in a result, dataclasses and arrays included, as bytes."""
+    if dataclasses.is_dataclass(result):
+        return [bits(getattr(result, f.name)) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [bits(r) for r in result]
+    if isinstance(result, dict):
+        return sorted((key, bits(r)) for key, r in result.items())
+    if isinstance(result, (np.ndarray, float)):
+        return np.ascontiguousarray(result, dtype=float).tobytes()
+    return result
+
+
+class TestColumnMajor:
+    """DesignMatrix keeps X column-major whatever the input's layout, and the
+    input's layout changes no result.  N rows take _r_factor's panels."""
+
+    N = 12_000
+    LABELS = ("intercept", "x1", "x2", "x3", "x4", "d")
+
+    @classmethod
+    def layouts(cls) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(24)
+        X = np.column_stack([np.ones(cls.N), rng.normal(rng.uniform(1, 5, 4), 1.0, (cls.N, 4)),
+                             rng.random(cls.N) < 0.3])
+        X[:, 2] += 0.5 * X[:, 1]
+        wide = np.zeros((cls.N, 2 * X.shape[1]))
+        wide[:, ::2] = X
+        return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": wide[:, ::2]}
+
+    @classmethod
+    def design(cls, X) -> DesignMatrix:
+        return DesignMatrix(X=X, intercept_present=True, quantitative_idx=(1, 2, 3, 4),
+                            dummy_idx=(5,), labels=cls.LABELS)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_x_is_a_column_major_read_only_copy(self, layout):
+        given = self.layouts()[layout]
+        X = self.design(given).X
+        assert X.flags.f_contiguous and not X.flags.writeable
+        assert not np.shares_memory(X, given)
+        assert_array_equal(X, given)
+
+    def test_results_do_not_depend_on_the_input_layout(self):
+        y = self.layouts()["C"] @ np.arange(1.0, 7.0)
+        y += np.random.default_rng(5).normal(size=self.N)
+        results = [bits([multicol(X), ols_fit(y, X), perturb_n(y, X, PerturbConfig(
+            iterations=30, seed=7))]) for X in map(self.design, self.layouts().values())]
+        assert results[1:] == results[:1] * 2
+
+    def test_every_qr_reads_whole_columns(self, monkeypatch):
+        given = self.layouts()["C"]
+        X = self.design(given)
+        no_intercept = DesignMatrix(X=given[:, 1:], intercept_present=False,
+                                    quantitative_idx=(0, 1, 2, 3), dummy_idx=(4,),
+                                    labels=self.LABELS[1:])
+        seen = []
+
+        def qr(a, mode, _fn=np.linalg.qr):
+            seen.append((a.strides[-2], np.shares_memory(a, X.X)))
+            return _fn(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        X.factors  # its panels are views of X.X
+        no_intercept.factors  # the panels of a new [X | 1]
+        ols_fit(np.arange(float(self.N)), X)  # the panels of a new [X | y]
+        # each call's first QR takes the panels; then their R factors and leftover rows
+        assert seen[::2] == [(8, True), (8, False), (8, False)]
 
 
 class TestResponseVector:

@@ -371,6 +371,11 @@ class TestCoefficientOfVariation:
         with pytest.raises(ValueError, match="^expected a nonempty vector$"):
             coefficient_of_variation([])
 
+    def test_column_too_large_to_sum_rejected(self):
+        a = np.random.default_rng(4).uniform(0.75e308, 1.5e308, 20)
+        with pytest.raises(ValueError, match="^column 'col' is too large to sum: 20 values up to "):
+            coefficient_of_variation(a)
+
     def test_per_regressor_entries_with_none_for_centered(self, theil_design):
         assert coefficients_of_variation(theil_design) == (
             ("income", coefficient_of_variation(theil_design.X[:, 1])),

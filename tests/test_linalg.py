@@ -285,6 +285,11 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match=match):
             least_squares(X, y)
 
+    def test_column_too_large_to_sum_is_named(self):
+        a = np.random.default_rng(4).uniform(0.75e308, 1.5e308, 20)
+        with pytest.raises(ValueError, match="^column 1 is too large to sum: 20 values up to "):
+            least_squares(np.column_stack([np.ones(20), a]), np.arange(20.0))
+
 
 def panel_threshold(m: int) -> int:
     """The fewest rows with which an m-column matrix takes panels in _r_factor."""
@@ -324,9 +329,10 @@ class TestRFactor:
         bound = 2 * self.M * np.finfo(float).eps * np.linalg.norm(A, 2, axis=(1, 2))
         assert (np.abs(np.abs(R) - np.abs(plain)).max(axis=(1, 2)) <= bound).all()
 
-    def test_panels_are_a_view_and_the_second_level_is_small(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_panels_are_a_view_and_the_second_level_is_small(self, monkeypatch, layout):
         n = panel_threshold(self.M) + 3
-        A = layouts(np.random.default_rng(4).normal(size=(2, n, self.M)))["transposed"]
+        A = layouts(np.random.default_rng(4).normal(size=(2, n, self.M)))[layout]
         seen = []
 
         def qr(a, mode, _fn=np.linalg.qr):
