@@ -38,7 +38,7 @@ same_bytes() {
     done
 }
 
-# Installed console script, with its JSON parsed strictly and its stdout closed early
+# Installed console script, with its JSON parsed strictly, its stdout closed early and its data errors on one line
 console() {
     collindiag multicol --fixture kg
     collindiag ols --fixture theil --format json | python3 -c "import json, sys; json.loads(sys.stdin.read(), parse_constant=lambda name: sys.exit(f'not JSON: {name}'))"
@@ -52,6 +52,11 @@ console() {
     # ols on a CSV without --response: a usage error (exit 2) that names the flag
     code=0; collindiag ols --data tests/golden/theil_income.csv 2> "$work/err" || code=$?
     if [ "$code" -ne 2 ] || ! grep -q -e --response "$work/err"; then cat "$work/err"; echo "exit $code"; exit 1; fi
+    # a tol that overflows the perturbed design: exit 2, nothing on stdout and one stderr
+    # line that names tol, so no traceback and no numpy warning
+    code=0; collindiag perturb --fixture theil --tol 1e308 > "$work/out" 2> "$work/err" || code=$?
+    if [ "$code" -ne 2 ] || [ -s "$work/out" ] || [ "$(wc -l < "$work/err")" -ne 1 ] \
+            || ! grep -q "^error: tol=" "$work/err"; then cat "$work/out" "$work/err"; echo "exit $code"; exit 1; fi
 }
 
 # Seeded perturbation output does not depend on scheduling

@@ -46,7 +46,7 @@ def _check_unique(labels: tuple[str, ...]) -> None:
 class Dataset:
     """A table with declared roles: column j of the n x m array values is
     labels[j], in role roles[j] (a ColumnRole or its string).  values is
-    copied once and read-only."""
+    copied once and read-only, and each column passes linalg._check_columns."""
 
     name: str
     labels: tuple[str, ...]
@@ -69,10 +69,7 @@ class Dataset:
         _check_unique(labels)
         if roles.count(ColumnRole.RESPONSE) > 1:
             raise ValueError("more than one response column declared")
-        for label, column in zip(labels, values.T):
-            if not np.isfinite(column).all():
-                raise ValueError(f"column {label!r} contains missing or non-finite values")
-            linalg._check_sums(max(column.max(), -column.min()), self.n, label)
+        linalg._check_columns(values, labels)
 
     @property
     def n(self) -> int:
@@ -88,12 +85,12 @@ class DesignMatrix:
     read it.  When intercept_present, column 0 is exactly the all-ones
     vector.  quantitative_idx and dummy_idx are 0-based column indices
     into X and, together with the intercept, partition all columns.  Construction is
-    the one gate of every design, built from a table or by hand: X is a
-    finite 2-d matrix, the labels are unique and one per column, the roles
-    partition the columns, a dummy column holds only 0 and 1, and no
+    the one gate of every design, built from a table or by hand, checked in
+    this order: X is 2-d, the labels are one per column and unique, every
+    column passes linalg._check_columns (finite, small enough to sum), the
+    roles partition the columns, a dummy holds only 0 and 1, and no
     quantitative column is constant (its correlation with any column is
-    undefined, with or without an intercept) or too large to sum
-    (linalg._check_sums).  Errors name the column.
+    undefined, with or without an intercept).  Errors name the column.
     """
 
     X: np.ndarray
@@ -103,12 +100,9 @@ class DesignMatrix:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = np.array(self.X, dtype=float, order="F")
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("design matrix contains missing or non-finite values")
-        X = np.array(X, order="F")
         X.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "quantitative_idx", tuple(int(i) for i in self.quantitative_idx))
@@ -119,6 +113,7 @@ class DesignMatrix:
         if len(self.labels) != k:
             raise ValueError(f"{len(self.labels)} labels for {k} columns")
         _check_unique(self.labels)
+        lo, hi = linalg._check_columns(X, self.labels)
         claimed = set(self.quantitative_idx) | set(self.dummy_idx)
         if self.intercept_present:
             if k == 0 or not np.array_equal(X[:, 0], np.ones(n)):
@@ -131,10 +126,8 @@ class DesignMatrix:
             if not np.isin(X[:, i], (0.0, 1.0)).all():
                 raise ValueError(f"dummy column {self.labels[i]!r} contains values other than 0 and 1")
         for i in self.quantitative_idx:
-            lo, hi = X[:, i].min(), X[:, i].max()
-            if lo == hi:
+            if lo[i] == hi[i]:
                 raise ValueError(f"quantitative column {self.labels[i]!r} has zero variance")
-            linalg._check_sums(max(hi, -lo), n, self.labels[i])
 
     @property
     def n(self) -> int:

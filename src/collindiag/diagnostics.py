@@ -375,8 +375,7 @@ def coefficient_of_variation(col) -> float:
     x = np.asarray(col, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a nonempty vector")
-    linalg._check_finite(x)
-    linalg._check_sums(np.abs(x).max(), x.size, "col")
+    linalg._check_columns(x[:, None], ["col"])
     (cv,), (centered,) = _cvs(x[None].copy())
     if centered:
         raise ValueError(CENTERED_CV_MESSAGE)

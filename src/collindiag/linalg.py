@@ -63,15 +63,20 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
-def _check_finite(A: np.ndarray) -> None:
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
-
-
-def _check_sums(peak: float, n: int, label) -> None:
-    """Reject a finite column of n values, peak its largest magnitude, that a sum could overflow."""
-    if peak <= np.finfo(float).max < n * float(peak):
-        raise ValueError(f"column {label!r} is too large to sum: {n} values up to {peak:.7g}")
+def _check_columns(A: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The column rule of every door: each column x of the n-row A, named by
+    labels, is finite and n * max|x| is at most the largest double, so every
+    sum, mean and norm taken of it is finite.  Returns each column's min and max."""
+    n = len(A)
+    lo, hi = np.zeros((2, A.shape[1]))
+    for j, label in enumerate(labels):
+        lo[j], hi[j] = A[:, j].min(initial=np.inf), A[:, j].max(initial=-np.inf)
+        if not (np.isfinite(lo[j]) and np.isfinite(hi[j])):
+            raise ValueError(f"column {label!r} contains missing or non-finite values")
+        peak = float(max(hi[j], -lo[j]))
+        if np.finfo(float).max < n * peak:
+            raise ValueError(f"column {label!r} is too large to sum: {n} values up to {peak:.7g}")
+    return lo, hi
 
 
 def _norms(A: np.ndarray) -> np.ndarray:
@@ -133,11 +138,11 @@ def _qr_fit(A: np.ndarray, k: int, floor: float = 0.0) -> tuple[np.ndarray, ...]
     The cut is taken on the unit-scaled B = R[:k, :k] D^-1 (D the column
     norms), which has X's singular values.  The gate in the module
     docstring spares the SVD of every B far from the cut, and floor, a
-    proven lower bound on every s_min(B), can spare the stack the gate."""
+    proven lower bound on every s_min(B), can spare the stack the gate.
+    It checks no value: its callers pass only finite ones (_check_columns)."""
     n = A.shape[1]
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
-    _check_finite(A)
     R = _r_factor(A)
     Rk = R[:, :k, :k]
     gate = _GATE_MARGIN / (max(n, k) * np.finfo(float).eps)
@@ -165,7 +170,8 @@ def unit_length_scale(M) -> np.ndarray:
     """Scale every column of M to unit Euclidean length; a zero column
     raises an error naming it."""
     A = _as_matrix(M)
-    _check_finite(A)
+    if not np.isfinite(A).all():  # an R block's entries may sum past the doubles
+        raise ValueError("matrix entries must be finite")
     norms = _norms(A.T)
     if not norms.all():  # the first zero norm is the first minimum
         raise SingularMatrixError(
@@ -193,16 +199,15 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares of y on the n x k matrix X from one QR of [X | y]: the
     coefficients, R, whose leading k x k block is X's R and whose
     |R[k, k]| is the residual norm (n > k), and that block's inverse.  X
-    and y must be finite, and n * max|y| at most the largest double; a
-    design failing the singular cut raises SingularMatrixError, naming a
-    zero column if it has one."""
-    A = _as_matrix(X)
-    n, k = A.shape
+    must have passed _check_columns, and y must, as 'response'; a design
+    failing the singular cut raises SingularMatrixError, naming a zero
+    column if it has one."""
+    n, k = X.shape
     if np.shape(y) != (n,):
         raise ValueError(f"response length {np.shape(y)} does not match {n} rows")
-    _check_sums(np.abs(y).max(initial=0.0), n, "response")
+    _check_columns(np.reshape(y, (n, 1)), ["response"])
     Xy = np.empty((n, k + 1), order="F")  # column-major, as LAPACK reads it
-    Xy[:, :k], Xy[:, k] = A, y
+    Xy[:, :k], Xy[:, k] = X, y
     beta, singular, R, Rk_inv = _qr_fit(Xy[None], k)
     if singular[0]:
         scaled_svd(R[0, :k, :k], n)  # words the error: a zero column, or the cut
@@ -212,10 +217,8 @@ def _fit(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def least_squares(X, y) -> np.ndarray:
     """Least squares coefficients minimizing ||y - X b||, from one QR of
-    [X | y]; X and y must be finite, n * max|x| at most the largest double
-    for each column x of X (an error names the column by position), and a
-    design failing the singular cut raises SingularMatrixError."""
+    [X | y].  The column rule names X's columns by position and y
+    'response'; a design failing the singular cut raises SingularMatrixError."""
     A = _as_matrix(X)
-    for j, peak in enumerate(np.abs(A).max(axis=0, initial=0.0)):
-        _check_sums(peak, len(A), j)
+    _check_columns(A, range(A.shape[1]))
     return _fit(A, y)[0]

@@ -104,13 +104,18 @@ def _betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|), T ~ t(df), as I_x(df/2, 1/2) at x = df/(df + t^2): no cancelling against 1."""
+    if math.isnan(t):
+        return math.nan
+    return _betainc(0.5 * df, 0.5, df / (df + t * t))
+
+
 def t_cdf(x: float, df: float) -> float:
     """CDF of the Student t distribution with df degrees of freedom."""
     if not 0.0 < df < math.inf:
         raise ValueError("degrees of freedom must be finite and positive")
-    if math.isnan(x):
-        return math.nan
-    tail = 0.5 * _betainc(0.5 * df, 0.5, df / (df + x * x))
+    tail = 0.5 * _two_sided_p(x, df)
     return 1.0 - tail if x >= 0 else tail
 
 
@@ -162,10 +167,7 @@ def ols_fit(y, X: DesignMatrix) -> OLSFit:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se  # +-inf, or nan for a zero beta, where se = 0
-    # two-sided p = I_x(df/2, 1/2) at x = df / (df + t^2): the upper tail
-    # taken directly, so tiny p-values do not cancel against 1
-    p = np.array([math.nan if math.isnan(ti)
-                  else _betainc(0.5 * df_resid, 0.5, df_resid / (df_resid + ti * ti)) for ti in t])
+    p = np.array([_two_sided_p(ti, df_resid) for ti in t])
 
     unexplained = float(rnorm / cnorm) ** 2  # RSS / TSS
     r2 = 1.0 - unexplained

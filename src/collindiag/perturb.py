@@ -102,7 +102,7 @@ def perturb_column(x, tol: float, r) -> np.ndarray:
     rv = np.array(r, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have the same shape")
-    linalg._check_finite(xv)
+    linalg._check_columns(xv.reshape(-1, 1), ["x"])
     return xv + _scale_noise(rv, tol, linalg._norms(xv))
 
 
@@ -192,13 +192,16 @@ def _draws(yv: np.ndarray, X: DesignMatrix, cfg: PerturbConfig, rng: np.random.G
             W += cfg.noise_mean
         _scale_noise(W, cfg.tol, x_norms)
         W += x
+        finite = np.isfinite(W)  # the only new values: the QR needs them finite
+        if not finite.all():
+            label = X.labels[sel[finite.argmin() // n % s]]  # W is (draws, s, n)
+            raise ValueError(f"tol={cfg.tol:g} perturbs column {label!r} past the largest double")
         designs[:len(W), sel] = W
         W -= x
         return 100.0 * linalg._norms(W.reshape(len(W), s * n)) / base_norm
 
     def refit(c):
         """Refit designs[:c]: (change_pct, singular)."""
-        # _qr_fit rejects an inf perturbation
         beta_p, singular, _, _ = linalg._qr_fit(designs[:c].transpose(0, 2, 1), k, floor)
         return 100.0 * linalg._norms(beta - beta_p) / beta_norm, singular
 

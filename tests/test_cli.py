@@ -576,7 +576,7 @@ class TestPerturbCommand:
                                  "--iterations", "5", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert err == "error: matrix entries must be finite\n"
+        assert err == "error: tol=1e+308 perturbs column 'income' past the largest double\n"
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("flag", ["--tol", "--noise-mean", "--noise-sd"])

@@ -18,7 +18,10 @@ from collindiag import (
     perturb_n,
     response_vector,
 )
+from collindiag import linalg
 from collindiag.dataset import roles_from_flags
+from collindiag.diagnostics import coefficient_of_variation
+from collindiag.perturb import perturb_column
 
 THEIL_ROLES = {
     "consumption": "response",
@@ -429,7 +432,7 @@ class TestDesignMatrix:
     @pytest.mark.parametrize("X, labels, message", [
         (np.ones(3), ("intercept",), "X must be a 2-d matrix"),
         (np.column_stack([np.ones(3), [0.0, np.nan, 2.0]]), ("intercept", "x"),
-         "design matrix contains missing or non-finite values"),
+         "column 'x' contains missing or non-finite values"),
         (np.column_stack([np.ones(3), np.arange(3.0)]), ("intercept",), "1 labels for 2 columns"),
     ], ids=["1-d", "non-finite", "label-count"])
     def test_malformed_matrix_rejected(self, X, labels, message):
@@ -591,3 +594,64 @@ class TestColumnSums:
                     lambda y: perturb_n(y, X, PerturbConfig(iterations=5, seed=1))):
             with pytest.raises(ValueError, match=message.format("response")):
                 fit(big[:, 1])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "too large"])
+    def test_every_door_names_the_bad_column(self, monkeypatch, bad):
+        """Each door applies the one column rule, so a bad column x raises one
+        ValueError naming x, before any fit: _qr_fit is made to fail."""
+        n = 20
+        good = large_column_table(n, 1.0, "y")
+        x = good.values[:, 1].copy()
+        if bad == "too large":
+            x *= 1.001 * (self.BIGGEST / n) / np.abs(x).max()
+            rest = re.escape(f"is too large to sum: {n} values up to {np.abs(x).max():.7g}")
+        else:
+            x[3] = float(bad)
+            rest = "contains missing or non-finite values"
+        values = good.values.copy()
+        values[:, 1] = x
+        X = design_matrix(good)
+        big = X.X.copy()
+        big[:, 1] = x
+
+        def no_fit(*args):
+            raise AssertionError("a value that breaks the column rule reached _qr_fit")
+
+        monkeypatch.setattr(linalg, "_qr_fit", no_fit)
+        doors = [
+            ("a", lambda: Dataset("t", good.labels, good.roles, values)),
+            ("a", lambda: DesignMatrix(X=big, intercept_present=True, quantitative_idx=(1, 2),
+                                       dummy_idx=(), labels=X.labels)),
+            (1, lambda: least_squares(big, np.arange(n, dtype=float))),
+            ("response", lambda: least_squares(X.X, x)),
+            ("response", lambda: ols_fit(x, X)),
+            ("response", lambda: perturb_n(x, X, PerturbConfig(iterations=5, seed=1))),
+            ("col", lambda: coefficient_of_variation(x)),
+            ("x", lambda: perturb_column(x, 0.01, np.ones(n))),
+        ]
+        for label, door in doors:
+            with pytest.raises(ValueError, match=f"^column {label!r} {rest}$") as caught:
+                door()
+            assert caught.type is ValueError
+
+    @pytest.mark.parametrize("tol, label", [(1e308, "a"), (1e303, "b")])
+    def test_an_overflowing_draw_never_reaches_the_fit(self, monkeypatch, tol, label):
+        """The perturbed columns are checked once per block, before the refit,
+        and the first that overflows is named: at tol 1e303 only b, whose
+        norm is 1e6 times a's, overflows.  Only the baseline fit reaches
+        _qr_fit."""
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(1.0, 2.0, 20), 1e6 * rng.uniform(1.0, 2.0, 20)
+        X = DesignMatrix(X=np.column_stack([np.ones(20), a, b]), intercept_present=True,
+                         quantitative_idx=(1, 2), dummy_idx=(), labels=("intercept", "a", "b"))
+        qr_fit, fitted = linalg._qr_fit, []
+
+        def counted(A, *args):
+            fitted.append(len(A))
+            return qr_fit(A, *args)
+
+        monkeypatch.setattr(linalg, "_qr_fit", counted)
+        message = re.escape(f"tol={tol:g} perturbs column '{label}' past the largest double")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            perturb_n(a + b, X, PerturbConfig(tol=tol, iterations=5000, seed=1))
+        assert fitted == [1]

@@ -364,7 +364,7 @@ class TestCoefficientOfVariation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_column_rejected(self, bad):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(ValueError, match="^column 'col' contains missing or non-finite values$"):
             coefficient_of_variation([1.0, bad])
 
     def test_empty_column_rejected(self):

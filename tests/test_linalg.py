@@ -275,8 +275,10 @@ class TestLeastSquares:
     @pytest.mark.parametrize("X, y, match", [
         (LINE_X, LINE_Y[:3], "response length"),
         (LINE_X[:1], LINE_Y[:1], "at least as many observations"),
-        (np.where(LINE_X == 2.0, np.nan, LINE_X), LINE_Y, "must be finite"),
-        (LINE_X, np.where(LINE_Y == 2.0, np.inf, LINE_Y), "must be finite"),
+        (np.where(LINE_X == 2.0, np.nan, LINE_X), LINE_Y,
+         "^column 1 contains missing or non-finite values$"),
+        (LINE_X, np.where(LINE_Y == 2.0, np.inf, LINE_Y),
+         "^column 'response' contains missing or non-finite values$"),
         (np.column_stack([LINE_X, np.zeros(4)]), LINE_Y, "column 2 has zero norm"),
         (np.column_stack([LINE_X, LINE_X[:, 1]]), LINE_Y, "multicollinearity"),
     ], ids=["wrong-length", "n<k", "non-finite-X", "non-finite-y", "zero-column",

@@ -75,7 +75,7 @@ class TestPerturbColumn:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_column_rejected(self, bad):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(ValueError, match="^column 'x' contains missing or non-finite values$"):
             perturb_column(np.array([1.0, bad, 2.0]), 0.01, np.ones(3))
 
     @pytest.mark.parametrize("tol, match", [(math.nan, "tol must be finite"),
@@ -595,8 +595,8 @@ class TestNoiseScale:
 
     def test_overflowing_perturbed_design_rejected(self, theil_design, theil_y):
         cfg = PerturbConfig(tol=1e308, iterations=5, seed=1)
-        with pytest.raises(ValueError, match="matrix entries must be finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
+        message = "^tol=1e\\+308 perturbs column 'income' past the largest double$"
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore", invalid="ignore"):
             perturb_n(theil_y, theil_design, cfg)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
