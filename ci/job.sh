@@ -99,7 +99,8 @@ smoke() {
 }
 
 # Report output does not depend on the BLAS thread count: a 200,000-row CSV, whose
-# norms each sum more values than a BLAS dot keeps on one thread, with x5 tracking x1
+# norms each sum more values than a BLAS dot keeps on one thread, with x5 tracking x1,
+# and a 50,000-row CSV with a low-CV column and a dummy
 threads() {
     python3 -c "
 import sys, numpy as np
@@ -113,6 +114,19 @@ np.savetxt(sys.argv[1], np.column_stack([y, X]), fmt='%.17g', delimiter=',', hea
     same_bytes "${blas[@]}" -- multicol --data "$work/tall.csv" --response y
     same_bytes "${blas[@]}" -- ols --data "$work/tall.csv" --response y
     same_bytes "${blas[@]}" -- perturb --data "$work/tall.csv" --response y --iterations 20 --seed 3
+    # a calendar-year-like column (CV ~5e-7) and a 0/1 dummy between the quantitative
+    # columns, with and without an intercept: both layouts of DesignMatrix.factors
+    python3 -c "
+import sys, numpy as np
+rng = np.random.default_rng(12)
+year = 2000.0 + rng.normal(0.0, 0.001, 50_000)
+d = rng.random(50_000) < 0.4
+x2 = rng.normal(3.0, 1.0, 50_000) + 100.0 * (year - 2000.0)
+y = 0.5 * year + x2 + d + rng.normal(0.0, 1.0, 50_000)
+np.savetxt(sys.argv[1], np.column_stack([y, year, d, x2]), fmt='%.17g', delimiter=',', header='y,year,d,x2', comments='')
+" "$work/lowcv.csv"
+    same_bytes "${blas[@]}" -- multicol --data "$work/lowcv.csv" --response y --dummy d
+    same_bytes "${blas[@]}" -- multicol --data "$work/lowcv.csv" --response y --dummy d --no-intercept
 }
 
 steps=(console scheduling tier1 selfcheck smoke threads)

@@ -149,22 +149,31 @@ class DesignMatrix:
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """R of A = QR, computed once per design: A is X, or [X | 1], the
-        ones column appended last, when X has no intercept; either way
-        column-major, as X is.
-
-        A[:, cols] = Q R[:, cols] with Q orthonormal, so every column
-        block of R has the singular values, column norms and cross
-        products of the same block of A.  Caching is safe because X is
-        a read-only copy; so is R.
+        """M with A = QM, Q orthonormal, computed once per design from the
+        centered columns: A is X, or [X | 1] when X has no intercept.  M is
+        [[sqrt(n), sqrt(n) m'], [0, R_c]], m the means of X's non-intercept
+        columns and R_c the R of those columns centered (linalg._center),
+        with at most n - 1 rows, as they have rank n - 1 at most; without an
+        intercept the ones column moves last, so X's columns keep their
+        indexes.  Each column block of M has the singular values, norms and
+        cross products of the same block of A, and the centered block loses
+        no digit to a low CV.  Caching is safe: X is a read-only copy; so is M.
         """
-        A = self.X
-        if not self.intercept_present:
-            A = np.empty((self.n, self.k + 1), order="F")
-            A[:, :-1], A[:, -1] = self.X, 1.0
-        R = linalg._r_factor(A)
-        R.flags.writeable = False
-        return R
+        n, start = self.n, int(self.intercept_present)
+        C, mean = linalg._center(self.X[:, start:])  # column-major, as X
+        # reflect the ones vector onto the last row: the rows above are then the columns
+        # centered to the last digit, of rank n - 1 at most, and the last row, -sqrt(n)
+        # times the means' own rounding, is dropped (all of C is updated, in one
+        # contiguous pass, since its last row is zeroed anyway)
+        C -= (C.sum(axis=0) + math.sqrt(n) * C[-1]) / (n + math.sqrt(n))
+        C[-1] = 0.0
+        R_c = linalg._r_factor(C)[:n - 1]
+        M = np.zeros((1 + len(R_c), C.shape[1] + 1))
+        own = slice(1, None) if start else slice(-1)  # the ones column first, or last
+        M[0, 0 if start else -1] = math.sqrt(n)
+        M[0, own], M[1:, own] = math.sqrt(n) * mean, R_c
+        M.flags.writeable = False
+        return M
 
     @cached_property
     def _shared(self) -> dict:

@@ -217,53 +217,39 @@ def _block_svd(X: DesignMatrix, cols: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return linalg.scaled_svd(X.factors.take(cols, axis=1), X.n)
 
 
-def _ones_quant_cols(X: DesignMatrix) -> tuple[int, ...]:
-    """The ones column of X.factors (see DesignMatrix.factors), then the quantitative ones."""
-    return (0 if X.intercept_present else X.k, *X.quantitative_idx)
-
-
 @_once
 def _quant_stats(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient of variation and centered flag (see _cvs) of each
-    quantitative column, in one pass over them: each column of the
-    column-major X is one contiguous run, copied whole into a row of a
-    block of ~1 MiB, so means sum as a column's would."""
-    quant = list(X.quantitative_idx)
-    step = max(1, (1 << 20) // (8 * X.n))
-    blocks = (X.X.T[quant[i:i + step]] for i in range(0, len(quant), step))
-    stats = [_cvs(rows) for rows in blocks]
-    return tuple(np.concatenate(parts) for parts in zip(*stats))
+    quantitative column, from one copy of them."""
+    return _cvs(X.X.T[list(X.quantitative_idx)])
 
 
-@_once
 def _centered_factor(X: DesignMatrix) -> np.ndarray:
-    """Triangular T with T'T = C'C, C the centered quantitative block: the
-    trailing block of a small QR of the ones and quantitative columns of
-    X.factors.  The leading column of that QR spans the ones vector, so
-    the rest spans the centered columns, with or without an intercept."""
-    return np.linalg.qr(X.factors.take(_ones_quant_cols(X), axis=1), mode="r")[1:, 1:]
+    """T with T'T = C'C, C the centered quantitative columns: their block of
+    X.factors below its first row (see DesignMatrix.factors)."""
+    return X.factors[1:, list(X.quantitative_idx)]
 
 
 @_once
 def _centered_svd(X: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled SVD (s, Vt) of the centered factor T, past the cut.  T comes
-    from [1, Q] by orthogonal steps, so [1, Q] must pass too."""
-    T = _centered_factor(X)
-    _block_svd(X, _ones_quant_cols(X))
-    return linalg.scaled_svd(T, X.n)
+    """Scaled SVD (s, Vt) of the centered factor T, past the cut.  The ones
+    column (see DesignMatrix.factors) and the quantitative columns must pass
+    too, so that the VIFs keep the rank rule of every other measure."""
+    _block_svd(X, (0 if X.intercept_present else X.k, *X.quantitative_idx))
+    return linalg.scaled_svd(_centered_factor(X), X.n)
 
 
 def _pearson(T: np.ndarray) -> tuple[np.ndarray, float]:
     """Correlation matrix and its determinant from the centered factor.
 
-    det(R) is taken from the small k x k matrix R itself, so it is near 0
-    also when n <= k leaves T wide, not square.
+    A T with fewer rows than columns leaves R singular by its shape, so
+    its det(R) is exactly 0, not rounding noise of either sign.
     """
     U = T / linalg._norms(T.T)
     R = U.T @ U
     np.fill_diagonal(R, 1.0)
     R = (R + R.T) / 2.0
-    return R, float(np.linalg.det(R))
+    return R, 0.0 if len(T) < T.shape[1] else float(np.linalg.det(R))
 
 
 def correlation_matrix(X: DesignMatrix, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> CorrelationReport:
@@ -385,8 +371,7 @@ def coefficient_of_variation(col) -> float:
 def _cvs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient of variation of each row of rows, which it overwrites,
     and whether the row is centered (its CV is then meaningless)."""
-    mean = rows.mean(axis=1)
-    rows -= mean[:, None]
+    _, mean = linalg._center(rows.T, out=rows.T)
     sd = linalg._norms(rows) / math.sqrt(rows.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return sd / np.abs(mean), (mean == 0.0) | (np.abs(mean) < 1e-12 * sd)

@@ -79,6 +79,13 @@ def _check_columns(A: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _center(A: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the n-row A less their means, written to out (A itself
+    to center in place), and the means: the one way columns are centered."""
+    mean = A.mean(axis=0)
+    return np.subtract(A, mean, out=out), mean
+
+
 def _norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of A, summed by numpy, not BLAS, so
     a norm depends neither on the BLAS thread count nor on the rows beside it.

@@ -3,13 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from collindiag import (
     ColumnRole,
     Dataset,
     DesignMatrix,
     PerturbConfig,
+    correlation_matrix,
     design_matrix,
     least_squares,
     load_csv,
@@ -17,6 +18,7 @@ from collindiag import (
     ols_fit,
     perturb_n,
     response_vector,
+    vif,
 )
 from collindiag import linalg
 from collindiag.dataset import roles_from_flags
@@ -468,7 +470,7 @@ class TestColumnMajor:
     """DesignMatrix keeps X column-major whatever the input's layout, and the
     input's layout changes no result.  N rows take _r_factor's panels."""
 
-    N = 12_000
+    N = 16_000
     LABELS = ("intercept", "x1", "x2", "x3", "x4", "d")
 
     @classmethod
@@ -514,11 +516,63 @@ class TestColumnMajor:
             return _fn(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", qr)
-        X.factors  # its panels are views of X.X
-        no_intercept.factors  # the panels of a new [X | 1]
+        X.factors  # the panels of a centered copy of X's non-intercept columns
+        no_intercept.factors  # the same five columns
         ols_fit(np.arange(float(self.N)), X)  # the panels of a new [X | y]
         # each call's first QR takes the panels; then their R factors and leftover rows
-        assert seen[::2] == [(8, True), (8, False), (8, False)]
+        assert seen[::2] == [(8, False), (8, False), (8, False)]
+        assert np.array_equal(X.factors[1:, 1:], no_intercept.factors[1:, :-1])
+
+
+class TestFactors:
+    """factors is taken from the centered columns, yet every column block
+    of it has the singular values and column norms of the same block of X,
+    or of [X | 1] when X has no intercept."""
+
+    @staticmethod
+    def assert_blocks_match(M: np.ndarray, A: np.ndarray):
+        k = A.shape[1]
+        rng = np.random.default_rng(3)
+        blocks = [[j] for j in range(k)] + [list(range(k))]
+        blocks += [sorted(rng.choice(k, int(rng.integers(2, k)), replace=False)) for _ in range(20)]
+        for cols in blocks:
+            want = np.linalg.svd(A[:, cols], compute_uv=False)
+            assert_allclose(np.linalg.svd(M[:, cols], compute_uv=False), want[:len(M)],
+                            rtol=0, atol=1e-13 * want[0], err_msg=str(cols))
+            assert_allclose(np.linalg.norm(M[:, cols], axis=0), np.linalg.norm(A[:, cols], axis=0),
+                            rtol=1e-14, atol=0, err_msg=str(cols))
+
+    def test_without_an_intercept_the_ones_column_is_last(self):
+        rng = np.random.default_rng(6)
+        n = 40
+        x1 = rng.normal(50.0, 2.0, n)
+        X = np.column_stack([x1, rng.random(n) < 0.4, x1 + rng.normal(size=n),
+                             rng.normal(size=n)])
+        design = DesignMatrix(X=X, intercept_present=False, quantitative_idx=(0, 2, 3),
+                              dummy_idx=(1,), labels=("x1", "d", "x2", "x3"))
+        M = design.factors
+        assert M.shape == (5, 5)
+        assert M[0, -1] == np.sqrt(n) and not M[1:, -1].any()
+        assert np.tril(M, -1).any()  # not triangular, and no consumer needs it to be
+        self.assert_blocks_match(M, np.column_stack([X, np.ones(n)]))
+
+    def test_a_wide_design_keeps_at_most_n_rows(self):
+        # n = 5 rows and k = 7 columns; the first four centered columns have rank 3, so a plain
+        # R of the centered columns would keep a fifth row, nonzero in q1 and q2
+        rng = np.random.default_rng(3)
+        d1, d3, d4 = [1.0, 0, 1, 0, 0], [0.0, 1, 1, 0, 1], [1.0, 1, 0, 0, 0]
+        Q = rng.normal(3.0, 1.0, (5, 2))
+        X = np.column_stack([np.ones(5), d1, d1, d3, d4, Q])
+        design = DesignMatrix(X=X, intercept_present=True, quantitative_idx=(5, 6),
+                              dummy_idx=(1, 2, 3, 4),
+                              labels=("intercept", "d1", "d2", "d3", "d4", "q1", "q2"))
+        assert design.factors.shape == (5, 7)
+        self.assert_blocks_match(design.factors, X)
+        with pytest.raises(linalg.SingularMatrixError, match=linalg.SINGULAR_MESSAGE):
+            multicol(design)
+        r = np.corrcoef(Q.T)[0, 1]
+        assert_allclose([v for _, v in vif(design)], [1.0 / (1.0 - r * r)] * 2, rtol=1e-14)
+        assert correlation_matrix(design).r[0, 1] == pytest.approx(r, rel=1e-14)
 
 
 class TestResponseVector:

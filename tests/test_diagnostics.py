@@ -136,6 +136,21 @@ class TestCorrelationMatrix:
         assert rep.det_r == pytest.approx(0.0, abs=1e-12)
         assert rep.problematic_det
 
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_a_wide_design_has_a_determinant_of_exactly_zero(self, intercept):
+        # n <= q: R is singular by its shape, so its det(R) is 0, not rounding noise below it
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n = int(rng.integers(3, 7))
+            q = int(rng.integers(n, n + 4))
+            Q = rng.normal(rng.uniform(-5, 5, q), rng.uniform(0.5, 3, q), (n, q))
+            design = DesignMatrix(X=np.column_stack([np.ones(n)] * intercept + [Q]),
+                                  intercept_present=intercept,
+                                  quantitative_idx=tuple(range(intercept, intercept + q)),
+                                  dummy_idx=(), labels=["intercept"] * intercept
+                                  + [f"x{j}" for j in range(q)])
+            assert correlation_matrix(design).det_r == 0.0
+
     def test_zero_variance_column_named(self):
         for intercept in (True, False):
             t = np.arange(6.0)
@@ -334,7 +349,7 @@ class TestStewartIndex:
                             lambda X: pytest.fail("the VIF path was taken"))
         calls = count_factorizations(monkeypatch)
         stewart_index(X)
-        assert calls == [("qr", (X.n, X.k)), ("svd", (X.k, X.k))]
+        assert calls == [("qr", (X.n, X.k - 1)), ("svd", (X.k, X.k))]
 
 
 class TestCoefficientOfVariation:
@@ -527,8 +542,8 @@ class TestSharedFactors:
         X = design_matrix(kg_dataset)
         calls = count_factorizations(monkeypatch)
         multicol(X)
-        assert [shape for name, shape in calls if shape[0] == X.n] == [(X.n, X.k)]
-        assert calls[0] == ("qr", (X.n, X.k))
+        assert [shape for name, shape in calls if shape[0] == X.n] == [(X.n, X.k - 1)]
+        assert calls[0] == ("qr", (X.n, X.k - 1))
         assert sum(name == "svd" for name, _ in calls) <= 3
         calls.clear()
         multicol(X)
@@ -537,7 +552,7 @@ class TestSharedFactors:
     @pytest.mark.parametrize("intercept", [True, False])
     def test_one_n_row_factorization_with_or_without_an_intercept(self, monkeypatch, kg_dataset,
                                                                   intercept):
-        # without an intercept, factors appends the ones column: no second pass to center
+        # the centered non-intercept columns, with or without an intercept: no [X | 1]
         X = design_matrix(kg_dataset, intercept)
         shapes = []
 
@@ -547,7 +562,7 @@ class TestSharedFactors:
 
         monkeypatch.setattr(linalg, "_r_factor", counted)
         multicol(X)
-        assert shapes == [(X.n, len(X.quantitative_idx) + 1)]
+        assert shapes == [(X.n, len(X.quantitative_idx))]
 
     @pytest.mark.parametrize("name", ["kg", "theil"])
     def test_centered_measures_do_not_depend_on_the_intercept(self, request, name):
@@ -564,7 +579,7 @@ class TestSharedFactors:
         multicol(X)
         kept = [X.factors] + [a for value in X._shared.values()
                               for a in (value if isinstance(value, tuple) else (value,))]
-        assert len(kept) == 12  # R, three (s, Vt) pairs, T and its (s, Vt), the column stats
+        assert len(kept) == 11  # factors, three (s, Vt) pairs, T's (s, Vt), the column stats
         assert not any(a.flags.writeable for a in kept)
         with pytest.raises(ValueError, match="read-only"):
             X.factors[0, 0] = 0.0

@@ -250,6 +250,93 @@ class TestMulticolConsistency:
             assert np.array_equal(report.stewart.k2, stewart_index(X).k2)
 
 
+def low_cv_design(cv: float, layout: str, seed: int, n: int = 200):
+    """x1 with sd ~1 and mean 1/cv, x2 at r ~ 0.8 with it, x3 apart: with an
+    intercept, without one, or with a dummy between x1 and x2.  Returns the
+    design and its quantitative columns."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=n)
+    Q = np.column_stack([x1 - x1.mean() + 1.0 / cv, 0.8 * x1 + 0.6 * rng.normal(size=n),
+                         rng.normal(size=n)])
+    cols = [np.ones(n), *Q.T] if layout != "no intercept" else list(Q.T)
+    if layout == "dummy":
+        cols.insert(2, (rng.random(n) < 0.3).astype(float))
+    start = int(layout != "no intercept")
+    quant = (start, start + 1 + (layout == "dummy"), start + 2 + (layout == "dummy"))
+    labels = ["intercept"] * start + ["x1", "d", "x2", "x3"][:len(cols) - start]
+    return DesignMatrix(X=np.column_stack(cols), intercept_present=bool(start),
+                        quantitative_idx=quant, dummy_idx=(2,) if layout == "dummy" else (),
+                        labels=labels), Q
+
+
+def centered_oracle(Q: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The correlation matrix, det(R) and VIFs of the columns of Q, in
+    50-digit arithmetic on the stored doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        cols = [[mpmath.mpf(v) for v in column] for column in Q.T.tolist()]
+        cols = [[v - m for v in column] for column, m in
+                zip(cols, (mpmath.fsum(column) / len(column) for column in cols))]
+        norms = [mpmath.sqrt(mpmath.fdot(a, a)) for a in cols]
+        R = mpmath.matrix([[mpmath.fdot(a, b) / (na * nb) for b, nb in zip(cols, norms)]
+                           for a, na in zip(cols, norms)])
+        R_inv = R ** -1
+        return (np.array(R.tolist(), dtype=float), float(mpmath.det(R)),
+                np.array([float(R_inv[i, i]) for i in range(R.rows)]))
+
+
+class TestLowCv:
+    """Nonessential collinearity is a low CV, and VIF, det(R) and the
+    correlations are blind to it (Belsley 1984; Marquardt & Snee 1975): a
+    shifted column moves none of them.  They are read from the centered
+    columns, so they stay within C * eps * kappa of exact arithmetic at any
+    CV down to 1e-10, kappa being the CN of the unit-scaled centered
+    quantitative columns; the correlations in absolute terms, det(R) and
+    the VIFs relative to their size."""
+
+    C = 16
+
+    def assert_within(self, got, want, kappa):
+        (r, det_r, vifs), (r0, det_r0, vifs0) = got, want
+        bound = self.C * np.finfo(float).eps * kappa
+        assert np.abs(r - r0).max() <= bound
+        assert abs(det_r - det_r0) <= bound * abs(det_r0)
+        assert (np.abs(vifs - vifs0) <= bound * vifs0).all()
+
+    @staticmethod
+    def measures(X: DesignMatrix) -> tuple[np.ndarray, float, np.ndarray]:
+        rep = correlation_matrix(X)
+        return rep.r, rep.det_r, np.array([v for _, v in vif(X)])
+
+    @pytest.mark.parametrize("layout", ["intercept", "no intercept", "dummy"])
+    @pytest.mark.parametrize("cv", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_centered_measures_match_50_digits(self, cv, layout):
+        for seed in range(3):
+            X, Q = low_cv_design(cv, layout, seed)
+            want = centered_oracle(Q)
+            self.assert_within(self.measures(X), want, np.sqrt(np.linalg.cond(want[0])))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 38), intercept=st.booleans())
+    def test_a_location_shift_moves_no_centered_measure(self, seed, p, intercept):
+        # multiples of 2^-10 below 2^8 in magnitude, so x + 2^p is exact for p <= 42
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        Q = rng.integers(-2**16, 2**16, (n, 3)) * 2.0**-10
+        Q[:, 1] += Q[:, 0]
+        shifted = Q + 2.0**p
+        assert (shifted - 2.0**p == Q).all()
+
+        def design(Q):
+            ones = [np.ones(n)] * intercept
+            return DesignMatrix(X=np.column_stack(ones + list(Q.T)), intercept_present=intercept,
+                                quantitative_idx=tuple(range(intercept, intercept + 3)),
+                                dummy_idx=(), labels=["intercept"] * intercept + ["a", "b", "c"])
+
+        want = self.measures(design(Q))
+        self.assert_within(self.measures(design(shifted)), want, np.sqrt(np.linalg.cond(want[0])))
+
+
 class TestOlsProperties:
     def test_noise_regressor_never_decreases_r2(self):
         rng = np.random.default_rng(42)

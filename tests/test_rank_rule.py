@@ -199,7 +199,8 @@ class TestFactorOnce:
 
     @pytest.mark.parametrize("call", ["multicol", "ols_fit"])
     def test_a_tall_design_is_one_panel_factorization(self, monkeypatch, call):
-        # n = 1e4 rows of 11 and 12 columns take panels; no plain n-row QR beside them
+        # n = 1e4 rows of 10 centered columns, or 12 of [X | y], take panels; no plain
+        # n-row QR beside them
         n = 10_000
         rng = np.random.default_rng(10)
         X = np.column_stack([np.ones(n), rng.normal(rng.uniform(1, 3, 10), 1.0, (n, 10))])
@@ -208,7 +209,7 @@ class TestFactorOnce:
         calls = count_factorizations(monkeypatch)
         if call == "multicol":
             multicol(design)
-            want = ("panel qr", (n, 11))
+            want = ("panel qr", (n, 10))
         else:
             ols_fit(X @ rng.normal(size=11) + rng.normal(size=n), design)
             want = ("panel qr", (1, n, 12))
